@@ -74,17 +74,30 @@ __attribute__((noinline)) void maybe_trace_alloc(std::size_t n) {
 }
 }  // namespace
 
-void* operator new(std::size_t n) {
+// noinline keeps GCC from folding these bodies into container code and
+// then warning that the malloc/free pair mismatches the new it inlined.
+__attribute__((noinline)) void* operator new(std::size_t n) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   maybe_trace_alloc(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

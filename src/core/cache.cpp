@@ -510,13 +510,15 @@ sim::Task<> IBridgeCache::flush_batch(std::vector<EntryId>& batch,
       (trace_ != nullptr && !batch.empty())
           ? trace_->begin(trace_bg_track_, "cache.writeback", "cache")
           : 0;
-  // Sort by home location so the flushed writes form long forward runs.
-  std::sort(batch.begin(), batch.end(), [this](EntryId a, EntryId b) {
-    const auto& ea = table_.get(a);
-    const auto& eb = table_.get(b);
-    if (ea.file != eb.file) return ea.file < eb.file;
-    return ea.file_off < eb.file_off;
-  });
+  // dirty_entries_into() hands batches over in home order, so the flushed
+  // writes form long forward runs without sorting again here.
+  assert(std::is_sorted(batch.begin(), batch.end(),
+                        [this](EntryId a, EntryId b) {
+                          const auto& ea = table_.get(a);
+                          const auto& eb = table_.get(b);
+                          if (ea.file != eb.file) return ea.file < eb.file;
+                          return ea.file_off < eb.file_off;
+                        }));
 
   // Stage every payload out of the SSD log concurrently so the disk writes
   // can then stream back-to-back with no inter-write gaps.

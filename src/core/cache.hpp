@@ -205,8 +205,9 @@ class IBridgeCache {
   /// paper's "as many long sequential accesses as possible").  With
   /// `yield_to_foreground`, the write stream stops as soon as foreground
   /// requests queue at the disk (daemon mode); drain() flushes regardless.
-  /// `batch` is sorted in place; the caller keeps it alive (pool leases)
-  /// until the task completes.
+  /// `batch` must already be in (file, offset) order with each entry once,
+  /// as MappingTable::dirty_entries_into() returns it; the caller keeps it
+  /// alive (pool leases) until the task completes.
   sim::Task<> flush_batch(std::vector<EntryId>& batch,
                           bool yield_to_foreground = false);
 

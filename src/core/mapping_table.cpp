@@ -262,15 +262,21 @@ void MappingTable::dirty_entries_into(Bytes max_bytes,
       dirty_scratch_.push_back(s);
     }
   }
-  std::sort(dirty_scratch_.begin(), dirty_scratch_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              const CacheEntry& ea = slab_[a].entry;
-              const CacheEntry& eb = slab_[b].entry;
-              if (ea.file != eb.file) return ea.file < eb.file;
-              return ea.file_off < eb.file_off;
-            });
+  // The budget usually takes a small prefix of a large dirty set, so select
+  // that prefix with a heap rather than sorting every entry: heapify in
+  // place, then pop entries in order until the budget is spent.  No two
+  // entries share a (file, offset), so this is exactly the sorted prefix.
+  const auto later = [this](std::uint32_t a, std::uint32_t b) {
+    const CacheEntry& ea = slab_[a].entry;
+    const CacheEntry& eb = slab_[b].entry;
+    if (ea.file != eb.file) return ea.file > eb.file;
+    return ea.file_off > eb.file_off;
+  };
+  std::make_heap(dirty_scratch_.begin(), dirty_scratch_.end(), later);
   Bytes budget = max_bytes;
-  for (std::uint32_t s : dirty_scratch_) {
+  for (auto end = dirty_scratch_.end(); end != dirty_scratch_.begin(); --end) {
+    std::pop_heap(dirty_scratch_.begin(), end, later);
+    const std::uint32_t s = *(end - 1);
     const CacheEntry& e = slab_[s].entry;
     if (budget - e.length < Bytes::zero() && !out.empty()) return;
     // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)

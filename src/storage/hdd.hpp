@@ -16,10 +16,10 @@
 // assumes, which lets iBridge's ServiceTimeModel estimate the disk well after
 // offline profiling.
 //
-// Dispatch order and merging are delegated to an IoScheduler (CFQ-like
-// ElevatorScheduler by default).  A one-shot anticipation window emulates
-// CFQ/AS idling: if the best queued request requires a long seek, the device
-// briefly waits for a nearer request to arrive before committing.
+// Dispatch order and merging are delegated to an IoScheduler (CfqScheduler
+// by default).  A one-shot anticipation window emulates CFQ/AS idling: if
+// the best queued request requires a long seek, the device briefly waits
+// for a nearer request to arrive before committing.
 #pragma once
 
 #include <cmath>

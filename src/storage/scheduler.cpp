@@ -1,19 +1,13 @@
 #include "storage/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 
 namespace ibridge::storage {
 
 namespace {
-
-bool mergeable(const DispatchBatch& b, const BlockRequest& r,
-               std::int64_t max_sectors) {
-  return r.dir == b.dir && b.sectors + r.sectors <= max_sectors &&
-         (r.lbn == b.end() || r.end() == b.lbn);
-}
 
 void absorb(DispatchBatch& b, PendingRequest p) {
   if (p.req.lbn < b.lbn) b.lbn = p.req.lbn;
@@ -25,109 +19,125 @@ void absorb(DispatchBatch& b, PendingRequest p) {
 
 // ---------------------------------------------------------------- Noop ----
 
-void NoopScheduler::add(PendingRequest p) {
-  // Reclaim the dead prefix left by popped heads before growing the tail:
-  // when it dominates the buffer, shift the live range down in place.  The
-  // buffer's capacity is reused forever, so a steady-state queue never
-  // allocates.
-  if (head_ == queue_.size()) {
-    queue_.clear();
-    head_ = 0;
-  } else if (head_ > 64 && head_ * 2 > queue_.size()) {
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
+std::size_t NoopScheduler::bucket(IoDirection dir, std::int64_t lbn) const {
+  // Fibonacci hashing: runs of neighbouring LBNs spread over the table.
+  const std::uint64_t key = (static_cast<std::uint64_t>(lbn) << 1) |
+                            static_cast<std::uint64_t>(dir);
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                  bucket_shift_);
+}
+
+void NoopScheduler::link(std::size_t pos) {
+  const BlockRequest& r = queue_[pos].req;
+  std::uint32_t& start_head = by_start_[bucket(r.dir, r.lbn)];
+  std::uint32_t& end_head = by_end_[bucket(r.dir, r.end())];
+  links_[pos] = Links{start_head, end_head, false};
+  start_head = static_cast<std::uint32_t>(pos);
+  end_head = static_cast<std::uint32_t>(pos);
+}
+
+void NoopScheduler::tombstone(std::size_t pos) {
+  links_[pos].gone = true;
+  --live_;
+}
+
+void NoopScheduler::reindex() {
+  assert(queue_.capacity() < kNil);
+  // Empty every chain.  A non-empty bucket heads at a slot whose key hashes
+  // to it, so clearing the buckets of every slot's keys costs O(slots), not
+  // O(buckets): a once-deep queue still rewinds cheaply each time it drains.
+  const std::size_t buckets =
+      std::bit_ceil(std::max<std::size_t>(queue_.capacity(), 16));
+  if (by_start_.size() != buckets) {
+    by_start_.assign(buckets, kNil);
+    by_end_.assign(buckets, kNil);
+    bucket_shift_ = 64 - std::countr_zero(buckets);
+  } else {
+    for (const PendingRequest& p : queue_) {
+      by_start_[bucket(p.req.dir, p.req.lbn)] = kNil;
+      by_end_[bucket(p.req.dir, p.req.end())] = kNil;
+    }
   }
+  links_.resize(queue_.capacity());
+  // Drop the tombstones, keeping FIFO order, and rethread the survivors
+  // oldest first so every chain runs from newest to oldest.
+  std::size_t kept = 0;
+  for (std::size_t i = head_; i < queue_.size(); ++i) {
+    if (links_[i].gone) continue;
+    if (kept != i) queue_[kept] = std::move(queue_[i]);
+    link(kept++);
+  }
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+               queue_.end());
+  head_ = 0;
+}
+
+void NoopScheduler::add(PendingRequest p) {
+  // Reclaim tombstones before growing the tail: once they outnumber the
+  // live requests, compact in place.  Every buffer's capacity is reused
+  // forever, so a steady-state queue never allocates.
+  const std::size_t dead = queue_.size() - live_;
+  if (dead > 64 && dead * 2 > queue_.size()) reindex();
   queue_.push_back(std::move(p));
+  ++live_;
+  if (links_.size() != queue_.capacity()) {
+    reindex();  // queue_ reallocated: grow the index with it
+  } else {
+    link(queue_.size() - 1);
+  }
+}
+
+std::uint32_t NoopScheduler::oldest_mergeable(const DispatchBatch& b) const {
+  // The lowest FIFO position wins: the request a scan from the head would
+  // meet first.  Chains also carry tombstones and hash collisions, so every
+  // entry is checked in full.
+  const std::int64_t room = max_sectors_ - b.sectors;
+  std::uint32_t best = kNil;
+  for (std::uint32_t i = by_start_[bucket(b.dir, b.end())]; i != kNil;
+       i = links_[i].next_by_start) {
+    const BlockRequest& r = queue_[i].req;
+    if (i < best && !links_[i].gone && r.dir == b.dir && r.lbn == b.end() &&
+        r.sectors <= room) {
+      best = i;
+    }
+  }
+  for (std::uint32_t i = by_end_[bucket(b.dir, b.lbn)]; i != kNil;
+       i = links_[i].next_by_end) {
+    const BlockRequest& r = queue_[i].req;
+    if (i < best && !links_[i].gone && r.dir == b.dir && r.end() == b.lbn &&
+        r.sectors <= room) {
+      best = i;
+    }
+  }
+  return best;
 }
 
 void NoopScheduler::pop_next(std::int64_t /*head_lbn*/, DispatchBatch& out) {
   out.reset();
-  if (head_ == queue_.size()) return;
+  if (live_ == 0) return;
 
   PendingRequest& front = queue_[head_];
   out.dir = front.req.dir;
   out.lbn = front.req.lbn;
   out.sectors = front.req.sectors;
   out.members.push_back(std::move(front));
-  ++head_;
+  tombstone(head_);
 
-  // Scan the rest of the queue for front-/back-mergeable requests.  A merge
-  // can enable another one, so repeat until a pass makes no progress.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t i = head_; i < queue_.size(); ++i) {
-      if (mergeable(out, queue_[i].req, max_sectors_)) {
-        absorb(out, std::move(queue_[i]));
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        progress = true;
-        break;
-      }
-    }
+  // A merge moves the batch's ends, which can make another request
+  // mergeable, so look again after every one.
+  for (std::uint32_t i = oldest_mergeable(out); i != kNil;
+       i = oldest_mergeable(out)) {
+    absorb(out, std::move(queue_[i]));
+    tombstone(i);
   }
-  if (head_ == queue_.size()) {
-    queue_.clear();
-    head_ = 0;
-  }
+  while (head_ < queue_.size() && links_[head_].gone) ++head_;
+  if (live_ == 0) reindex();  // rewind the drained FIFO
 }
 
 std::optional<PeekInfo> NoopScheduler::peek(std::int64_t head_lbn) const {
-  if (head_ == queue_.size()) return std::nullopt;
+  if (live_ == 0) return std::nullopt;
   return PeekInfo{std::llabs(queue_[head_].req.lbn - head_lbn),
                   queue_[head_].req.tag};
-}
-
-// ------------------------------------------------------------ Elevator ----
-
-void ElevatorScheduler::add(PendingRequest p) {
-  auto it = std::upper_bound(
-      sorted_.begin(), sorted_.end(), p.req.lbn,
-      [](std::int64_t lbn, const PendingRequest& q) { return lbn < q.req.lbn; });
-  sorted_.insert(it, std::move(p));
-}
-
-std::size_t ElevatorScheduler::pick_index(std::int64_t head_lbn) const {
-  assert(!sorted_.empty());
-  // First request at or after the head (SCAN direction: ascending), else
-  // wrap around to the lowest LBN.
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), head_lbn,
-      [](const PendingRequest& q, std::int64_t lbn) { return q.req.lbn < lbn; });
-  if (it == sorted_.end()) it = sorted_.begin();
-  return static_cast<std::size_t>(it - sorted_.begin());
-}
-
-void ElevatorScheduler::pop_next(std::int64_t head_lbn, DispatchBatch& out) {
-  out.reset();
-  if (sorted_.empty()) return;
-
-  std::size_t i = pick_index(head_lbn);
-  out.dir = sorted_[i].req.dir;
-  out.lbn = sorted_[i].req.lbn;
-  out.sectors = sorted_[i].req.sectors;
-  out.members.push_back(std::move(sorted_[i]));
-  sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(i));
-
-  // Absorb queued requests contiguous with the batch tail (ascending merge;
-  // the vector is sorted so contiguous successors sit right at `i`).
-  while (i < sorted_.size() && mergeable(out, sorted_[i].req, max_sectors_) &&
-         sorted_[i].req.lbn == out.end()) {
-    absorb(out, std::move(sorted_[i]));
-    sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-  // And any front-contiguous predecessor (rare, but keeps parity with noop).
-  while (i > 0 && mergeable(out, sorted_[i - 1].req, max_sectors_) &&
-         sorted_[i - 1].req.end() == out.lbn) {
-    absorb(out, std::move(sorted_[i - 1]));
-    sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(i - 1));
-    --i;
-  }
-}
-
-std::optional<PeekInfo> ElevatorScheduler::peek(std::int64_t head_lbn) const {
-  if (sorted_.empty()) return std::nullopt;
-  const PendingRequest& r = sorted_[pick_index(head_lbn)];
-  return PeekInfo{std::llabs(r.req.lbn - head_lbn), r.req.tag};
 }
 
 }  // namespace ibridge::storage

@@ -4,8 +4,8 @@
 // for reproducing its block-level request-size distributions (Figs 2(c-e), 5)
 // is (a) whether contiguous queued requests get merged into one dispatch and
 // (b) in what order requests are dispatched.  NoopScheduler models a FIFO
-// with front/back merging; ElevatorScheduler models the sorted dispatch order
-// (SCAN) plus merging that the kernel elevator + NCQ reordering produce.
+// with front/back merging; CfqScheduler models per-stream round-robin
+// service in SCAN order with cross-stream merging.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +84,10 @@ class IoScheduler {
 };
 
 /// FIFO dispatch with front/back merging of contiguous same-direction
-/// requests (the Linux noop scheduler still merges).
+/// requests (the Linux noop scheduler still merges).  A dispatch takes the
+/// FIFO head, then repeatedly absorbs the oldest queued request that starts
+/// where the batch ends or ends where it starts and still fits the merge
+/// cap, until none is left.
 class NoopScheduler final : public IoScheduler {
  public:
   /// `max_merge_sectors` mirrors the kernel's max_sectors_kb limit.
@@ -94,18 +97,47 @@ class NoopScheduler final : public IoScheduler {
   using IoScheduler::pop_next;
   void add(PendingRequest p) override;
   void pop_next(std::int64_t head_lbn, DispatchBatch& out) override;
-  bool empty() const override { return head_ == queue_.size(); }
-  std::size_t depth() const override { return queue_.size() - head_; }
+  bool empty() const override { return live_ == 0; }
+  std::size_t depth() const override { return live_; }
   std::optional<PeekInfo> peek(std::int64_t head_lbn) const override;
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// Per FIFO position: the next older position on each hash chain, and
+  /// whether the request has already left the queue (a tombstone).
+  struct Links {
+    std::uint32_t next_by_start = kNil;
+    std::uint32_t next_by_end = kNil;
+    bool gone = false;
+  };
+
+  std::size_t bucket(IoDirection dir, std::int64_t lbn) const;
+  void link(std::size_t pos);
+  void tombstone(std::size_t pos);
+  std::uint32_t oldest_mergeable(const DispatchBatch& b) const;
+  void reindex();
+
   std::int64_t max_sectors_;
-  // FIFO as a vector with an advancing head: pop_front is ++head_ and add()
-  // periodically compacts the live tail down in place, so a steady-state
-  // queue reuses one buffer forever (std::deque would churn a 512-byte
-  // chunk through the allocator every few dozen requests).
+  // FIFO as a vector with an advancing head: pop_front is ++head_, and a
+  // request merged out of the middle stays behind as a tombstone the head
+  // skips.  add() compacts the live requests down in place once tombstones
+  // dominate, so a steady-state queue reuses one buffer forever (std::deque
+  // would churn a 512-byte chunk through the allocator every few dozen
+  // requests).
   std::vector<PendingRequest> queue_;
+  // Merge index: two intrusive hash chains threaded through links_ (one
+  // entry per queue_ slot, sized to its capacity), keyed on (direction,
+  // start LBN) and (direction, end LBN).  A bucket holds the newest position
+  // of its chain.  Both are rebuilt whenever queue_ compacts or grows.  A
+  // rescan of the queue per merge would cost O(depth) on the thousands-deep
+  // SSD queues that BTIO's small records build.
+  std::vector<Links> links_;
+  std::vector<std::uint32_t> by_start_;
+  std::vector<std::uint32_t> by_end_;
+  int bucket_shift_ = 0;
   std::size_t head_ = 0;
+  std::size_t live_ = 0;
 };
 
 /// CFQ-like scheduler: one queue per issuing stream (BlockRequest::tag),
@@ -178,31 +210,6 @@ class CfqScheduler final : public IoScheduler {
   int last_tag_ = -1;
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;
-};
-
-/// SCAN-order dispatch with merging: requests are kept sorted by LBN; the
-/// next batch starts at the first request at or after the head position
-/// (wrapping to the lowest LBN) and absorbs every queued request contiguous
-/// with it, up to the merge limit.
-class ElevatorScheduler final : public IoScheduler {
- public:
-  explicit ElevatorScheduler(std::int64_t max_merge_sectors = 1024)
-      : max_sectors_(max_merge_sectors) {}
-
-  using IoScheduler::pop_next;
-  void add(PendingRequest p) override;
-  void pop_next(std::int64_t head_lbn, DispatchBatch& out) override;
-  bool empty() const override { return sorted_.empty(); }
-  std::size_t depth() const override { return sorted_.size(); }
-  std::optional<PeekInfo> peek(std::int64_t head_lbn) const override;
-
- private:
-  std::size_t pick_index(std::int64_t head_lbn) const;
-
-  std::int64_t max_sectors_;
-  // Sorted by (lbn, arrival). A vector keeps it simple; queue depths in the
-  // simulated workloads stay small (hundreds at most).
-  std::vector<PendingRequest> sorted_;
 };
 
 }  // namespace ibridge::storage

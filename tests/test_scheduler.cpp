@@ -1,9 +1,13 @@
 // Tests for the I/O schedulers: merging, dispatch order, per-stream CFQ
-// behaviour.
+// behaviour, and the indexed Noop merge loop against a linear-scan copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "storage/scheduler.hpp"
 
@@ -73,6 +77,33 @@ TEST(NoopScheduler, MergeRespectsSectorCap) {
   EXPECT_EQ(b.sectors, 12);  // 24 > cap, no merge
 }
 
+TEST(NoopScheduler, SameStartMergesFifoEarlierFirst) {
+  sim::Simulator sim;
+  NoopScheduler s;
+  s.add(make(sim, IoDirection::kRead, 100, 8, 0));
+  s.add(make(sim, IoDirection::kRead, 108, 4, 1));
+  s.add(make(sim, IoDirection::kRead, 108, 8, 2));  // same start, queued later
+  auto b = s.pop_next(0);
+  // Absorbing tag 1 moves the batch end to 112, so tag 2 no longer fits.
+  ASSERT_EQ(b.members.size(), 2u);
+  EXPECT_EQ(b.members[1].req.tag, 1);
+  EXPECT_EQ(b.sectors, 12);
+  EXPECT_EQ(s.peek(0)->tag, 2);
+}
+
+TEST(NoopScheduler, MergeSkipsOversizedCandidateForLaterFit) {
+  sim::Simulator sim;
+  NoopScheduler s(/*max_merge_sectors=*/16);
+  s.add(make(sim, IoDirection::kRead, 0, 8, 0));
+  s.add(make(sim, IoDirection::kRead, 8, 12, 1));  // contiguous, 20 > cap
+  s.add(make(sim, IoDirection::kRead, 8, 8, 2));   // contiguous, fits
+  auto b = s.pop_next(0);
+  ASSERT_EQ(b.members.size(), 2u);
+  EXPECT_EQ(b.members[1].req.tag, 2);
+  EXPECT_EQ(b.sectors, 16);
+  EXPECT_EQ(s.peek(0)->tag, 1);
+}
+
 TEST(NoopScheduler, PeekReportsFrontRequest) {
   sim::Simulator sim;
   NoopScheduler s;
@@ -84,40 +115,105 @@ TEST(NoopScheduler, PeekReportsFrontRequest) {
   EXPECT_EQ(p->tag, 3);
 }
 
-// -------------------------------------------------------------- Elevator ----
+// Reference copy of the merge loop NoopScheduler ran before it was indexed:
+// after every merge, rescan the queue from the FIFO head and absorb the
+// first request that back- or front-merges within the cap.
+class LinearScanNoop {
+ public:
+  explicit LinearScanNoop(std::int64_t max_sectors)
+      : max_sectors_(max_sectors) {}
 
-TEST(ElevatorScheduler, ScanOrderFromHead) {
-  sim::Simulator sim;
-  ElevatorScheduler s;
-  s.add(make(sim, IoDirection::kRead, 300, 8));
-  s.add(make(sim, IoDirection::kRead, 100, 8));
-  s.add(make(sim, IoDirection::kRead, 200, 8));
-  EXPECT_EQ(s.pop_next(150).lbn, 200);  // first at/after head
-  EXPECT_EQ(s.pop_next(208).lbn, 300);
-  EXPECT_EQ(s.pop_next(308).lbn, 100);  // wrap to lowest
-}
+  void add(PendingRequest p) { queue_.push_back(std::move(p)); }
 
-TEST(ElevatorScheduler, MergesContiguousRun) {
-  sim::Simulator sim;
-  ElevatorScheduler s;
-  for (int i = 0; i < 4; ++i) {
-    s.add(make(sim, IoDirection::kRead, 1000 + 8 * i, 8, i));
+  DispatchBatch pop_next() {
+    DispatchBatch out;
+    if (queue_.empty()) return out;
+    out.dir = queue_.front().req.dir;
+    out.lbn = queue_.front().req.lbn;
+    out.sectors = queue_.front().req.sectors;
+    out.members.push_back(std::move(queue_.front()));
+    queue_.erase(queue_.begin());
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        const BlockRequest r = it->req;
+        if (r.dir == out.dir && out.sectors + r.sectors <= max_sectors_ &&
+            (r.lbn == out.end() || r.end() == out.lbn)) {
+          out.lbn = std::min(out.lbn, r.lbn);
+          out.sectors += r.sectors;
+          out.members.push_back(std::move(*it));
+          queue_.erase(it);
+          progress = true;
+          break;
+        }
+      }
+    }
+    return out;
   }
-  auto b = s.pop_next(0);
-  EXPECT_EQ(b.lbn, 1000);
-  EXPECT_EQ(b.sectors, 32);
-  EXPECT_EQ(b.members.size(), 4u);
+
+  std::size_t depth() const { return queue_.size(); }
+  const PendingRequest* front() const {
+    return queue_.empty() ? nullptr : &queue_.front();
+  }
+
+ private:
+  std::int64_t max_sectors_;
+  std::vector<PendingRequest> queue_;
+};
+
+/// Everything a dispatch decision fixes: direction, extent, member order.
+std::vector<std::int64_t> summary(const DispatchBatch& b) {
+  std::vector<std::int64_t> s = {static_cast<std::int64_t>(b.dir), b.lbn,
+                                 b.sectors};
+  for (const PendingRequest& p : b.members) s.push_back(p.req.tag);
+  return s;
 }
 
-TEST(ElevatorScheduler, PeekMatchesPopChoice) {
-  sim::Simulator sim;
-  ElevatorScheduler s;
-  s.add(make(sim, IoDirection::kRead, 400, 8, 9));
-  s.add(make(sim, IoDirection::kRead, 900, 8, 4));
-  auto p = s.peek(500);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->tag, 4);
-  EXPECT_EQ(s.pop_next(500).lbn, 900);
+TEST(NoopScheduler, MatchesLinearScanReference) {
+  // Requests land in a 512-sector window, so back and front merges,
+  // duplicate starts and overlapping ranges are all common, and a fifth of
+  // them come within a few sectors of the cap.  Add-heavy phases build
+  // queues deep enough to compact; pop-heavy phases drain them dry.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Simulator sim;
+    sim::Rng rng(seed);
+    const std::int64_t cap = rng.uniform(8, 64);
+    NoopScheduler indexed(cap);
+    LinearScanNoop linear(cap);
+    int tag = 0;
+    int pops = 0;
+    double add_share = 0.5;
+    for (int step = 0; step < 3000; ++step) {
+      if (step % 250 == 0) add_share = rng.chance(0.5) ? 0.8 : 0.3;
+      if (rng.chance(add_share)) {
+        const IoDirection dir =
+            rng.chance(0.5) ? IoDirection::kRead : IoDirection::kWrite;
+        const std::int64_t lbn = rng.uniform(0, 511);
+        const std::int64_t sectors =
+            rng.chance(0.2) ? rng.uniform(cap - 3, cap) : rng.uniform(1, 8);
+        indexed.add(make(sim, dir, lbn, sectors, tag));
+        linear.add(make(sim, dir, lbn, sectors, tag));
+        ++tag;
+      } else {
+        const DispatchBatch want = linear.pop_next();
+        ASSERT_EQ(summary(indexed.pop_next(0)), summary(want))
+            << "seed " << seed << " step " << step;
+        if (!want.empty()) ++pops;
+      }
+      ASSERT_EQ(indexed.depth(), linear.depth())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(indexed.empty(), linear.depth() == 0);
+      const auto peek = indexed.peek(300);
+      const PendingRequest* front = linear.front();
+      ASSERT_EQ(peek.has_value(), front != nullptr);
+      if (front != nullptr) {
+        ASSERT_EQ(peek->tag, front->req.tag);
+        ASSERT_EQ(peek->distance, std::llabs(front->req.lbn - 300));
+      }
+    }
+    EXPECT_GT(pops, 64) << "seed " << seed;
+  }
 }
 
 // ------------------------------------------------------------------ CFQ ----
