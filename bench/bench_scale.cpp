@@ -19,8 +19,6 @@
 //   * classic (shards=0) vs grouped+adaptive sharded runs must agree on
 //     every timing-invariant checksum (requests, client bytes, server
 //     bytes) — the request set is a pure function of the per-rank seeds;
-//   * the grouped+adaptive sharded run must be byte-identical across
-//     worker counts (elapsed ns, events executed, bytes);
 //   * the steady-state serve path must be allocation-free: after a warmup
 //     prefix on a stock cluster, the remaining requests must allocate
 //     exactly zero times (global operator new is counted in-binary, as in
@@ -32,7 +30,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -118,7 +115,7 @@ struct Point {
 struct RunSpec {
   int servers = 8;
   std::int64_t ranks = 1000;
-  int shards = 8;           ///< worker budget (0 = classic single simulator)
+  int shards = 1;           ///< core: 0 = classic, 1 = sharded
   int group_size = 1;       ///< servers per shard
   double adaptive_us = 0.0;
   bool ibridge = true;      ///< stock cluster when false (alloc phase)
@@ -237,17 +234,13 @@ RunResult run_cell(const RunSpec& spec, double* steady_allocs_per_req) {
   return r;
 }
 
-/// Sweep spec for a point: servers fold onto at most 8 server shards and
-/// windows widen up to 50 us beyond the wire latency.  The worker budget
-/// follows the host (threads beyond the core count only add barrier
-/// context switches); the model metrics are worker-invariant, so the
-/// tracked baseline holds on any host.
+/// Sweep spec for a point: the sharded core, with servers folded onto at
+/// most 8 server shards and windows widened up to 50 us beyond the wire
+/// latency.
 RunSpec spec_for(const Point& p) {
   RunSpec s;
   s.servers = p.servers;
   s.ranks = p.ranks;
-  const unsigned hw = std::thread::hardware_concurrency();
-  s.shards = static_cast<int>(std::clamp(hw, 1u, 8u));
   s.group_size = std::max(1, p.servers / 8);
   s.adaptive_us = 50.0;
   return s;
@@ -368,31 +361,7 @@ int main(int argc, char** argv) {
     }
     g.set("check.classic_match", classic_match ? 1.0 : 0.0);
 
-    // 2. Worker-count identity at the grouped+adaptive config: the full
-    // model metrics must be byte-identical at 1 vs 2 worker threads.
-    RunSpec w1 = spec_for(small);
-    w1.shards = 1;
-    RunSpec w2 = spec_for(small);
-    w2.shards = 2;
-    const RunResult rw1 = run_cell(w1, nullptr);
-    const RunResult rw2 = run_cell(w2, nullptr);
-    const bool worker_match = rw1.sim_ns == rw2.sim_ns &&
-                              rw1.events == rw2.events &&
-                              rw1.client_bytes == rw2.client_bytes &&
-                              rw1.served_bytes == rw2.served_bytes;
-    if (!worker_match) {
-      std::fprintf(stderr,
-                   "bench_scale: FAIL worker-count identity "
-                   "(sim_ns %lld/%lld, events %llu/%llu)\n",
-                   static_cast<long long>(rw1.sim_ns),
-                   static_cast<long long>(rw2.sim_ns),
-                   static_cast<unsigned long long>(rw1.events),
-                   static_cast<unsigned long long>(rw2.events));
-      rc = 1;
-    }
-    g.set("check.worker_match", worker_match ? 1.0 : 0.0);
-
-    // 3. Allocation-free steady state on a stock cluster (no cache
+    // 2. Allocation-free steady state on a stock cluster (no cache
     // daemons), classic core so the count sees only the serve path.
     // 48 requests/rank gives the warmup half a long runway: every pool,
     // ring, histogram lane, and scheduler map reaches its high-water mark
@@ -412,9 +381,8 @@ int main(int argc, char** argv) {
       rc = 1;
     }
     g.set("check.steady_allocs_per_request", steady);
-    std::printf("  --check: classic %s, workers %s, steady allocs/req %.3f\n",
-                classic_match ? "MATCH" : "MISMATCH",
-                worker_match ? "MATCH" : "MISMATCH", steady);
+    std::printf("  --check: classic %s, steady allocs/req %.3f\n",
+                classic_match ? "MATCH" : "MISMATCH", steady);
   }
 
   if (!g.write_file()) {

@@ -277,15 +277,11 @@ std::uint64_t table_digest(const MappingTable& t) {
 
 void InvariantOracle::on_check(const core::IBridgeCache& cache,
                                const char* where) {
-  // Run the (pure, cache-local) audit outside the lock; only the shared
-  // bookkeeping below is serialized.
+  ++checks_;
+  if (failures_.size() >= kMaxFailures) return;
   std::vector<std::string> violations = verify_cache(cache);
   const void* clock = &cache.simulator();
   const std::int64_t now_ns = cache.simulator().now().ns();
-
-  std::lock_guard<std::mutex> lk(mu_);
-  ++checks_;
-  if (failures_.size() >= kMaxFailures) return;
 
   // Monotone simulator time across every observed step of one clock domain.
   auto [it, fresh] = last_now_ns_.try_emplace(clock, now_ns);

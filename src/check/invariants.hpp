@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -58,8 +57,7 @@ std::uint64_t table_digest(const core::MappingTable& t);
 /// violations (capped; the first failure is what matters for shrinking).
 ///
 /// One oracle is installed on every server's cache, so on a sharded
-/// cluster on_check runs concurrently from worker threads: a mutex
-/// serializes the bookkeeping, and the monotone-time audit is keyed per
+/// cluster it observes several clocks: the monotone-time audit is keyed per
 /// simulator (shard clocks advance independently inside a window, so a
 /// global ordering across shards would be a false positive).  On the
 /// classic core every cache shares one simulator — a single key — which
@@ -73,7 +71,6 @@ class InvariantOracle : public core::CacheObserver {
   std::uint64_t checks_run() const { return checks_; }
 
   void reset() {
-    std::lock_guard<std::mutex> lk(mu_);
     failures_.clear();
     checks_ = 0;
     last_now_ns_.clear();
@@ -82,7 +79,6 @@ class InvariantOracle : public core::CacheObserver {
  private:
   static constexpr std::size_t kMaxFailures = 16;
 
-  mutable std::mutex mu_;
   std::vector<std::string> failures_;
   std::uint64_t checks_ = 0;
   /// Last observed time per simulator (clock domain).  Lookup-only — the

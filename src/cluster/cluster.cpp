@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "storage/hdd.hpp"
 
@@ -42,26 +43,26 @@ storage::SeekProfile profile_disk(const storage::HddParams& params) {
 }
 
 Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
+  if (cfg.shards != 0 && cfg.shards != 1) {
+    throw std::invalid_argument(
+        "ClusterConfig::shards must be 0 (classic core) or 1 (sharded core)");
+  }
   const std::size_t client_events =
       static_cast<std::size_t>(cfg.client_nodes) *
           static_cast<std::size_t>(cfg.procs_per_node) * 4 +
       256;
   const std::size_t server_events = 64;
   const int group_size = cfg.shard_group_size < 1 ? 1 : cfg.shard_group_size;
-  if (cfg.shards >= 1) {
+  if (cfg.shards == 1) {
     // Sharded core: shard 0 = client + MDS side, shard 1 + i / group_size
-    // = data server i.  The logical structure is fixed by the topology and
-    // the grouping; cfg.shards only caps the worker-thread count, so any
-    // shards >= 1 produces byte-identical results for a fixed grouping.
-    // The barrier lookahead is the network wire latency — the minimum time
-    // any cross-shard interaction takes (ShardGroup rejects a non-positive
-    // lookahead, i.e. a zero-latency network).
+    // = data server i.  The shard structure is fixed by the topology and
+    // the grouping.  The barrier lookahead is the network wire latency —
+    // the minimum time any cross-shard interaction takes (ShardGroup
+    // rejects a non-positive lookahead, i.e. a zero-latency network).
     const int groups =
         cfg.data_servers == 0 ? 0 : (cfg.data_servers - 1) / group_size + 1;
-    const int logical = 1 + groups;
-    const int workers = cfg.shards < logical ? cfg.shards : logical;
-    group_ = std::make_unique<sim::ShardGroup>(
-        logical, cfg.network.wire_latency(), workers);
+    group_ = std::make_unique<sim::ShardGroup>(1 + groups,
+                                               cfg.network.wire_latency());
     if (cfg.adaptive_window_us > 0.0) {
       group_->set_adaptive_window(
           sim::SimTime::from_seconds(cfg.adaptive_window_us / 1e6));
@@ -183,9 +184,12 @@ void Cluster::install_observer(core::CacheObserver* obs) {
 }
 
 void Cluster::set_trace(obs::TraceSession* session) {
-  // TraceSession appends to shared rings from every layer; it has no
-  // cross-shard story yet, so tracing requires the classic core.
-  assert(session == nullptr || group_ == nullptr);
+  // TraceSession stamps spans with one clock; shard clocks advance
+  // independently inside a window, so tracing requires the classic core.
+  if (session != nullptr && group_ != nullptr) {
+    throw std::logic_error(
+        "Cluster::set_trace: tracing requires the classic core (shards = 0)");
+  }
   client_->set_trace(session);
   for (auto& s : servers_) s->set_trace(session);
 }
@@ -201,19 +205,17 @@ void Cluster::set_profiler(obs::SimProfiler* profiler) {
   // Interns categories — must precede lane creation (lanes size their
   // counters to the categories known at creation).
   for (auto& s : servers_) s->set_profiler(profiler);
-  if (group_ == nullptr) {
-    sim_.set_step_hook(profiler);
-    return;
-  }
-  // Sharded: every shard gets its own lane hook; the profiler's accessors
-  // fan the lanes back in (see obs/profiler.hpp).
+  // One lane per simulator: the classic core's single one, or each shard's
+  // (the profiler's accessors fan the lanes back in; see obs/profiler.hpp).
+  const int sims = group_ == nullptr ? 1 : group_->shards();
   if (profiler != nullptr) {
-    profiler->set_lane_count(static_cast<std::size_t>(group_->shards()));
+    profiler->set_lane_count(static_cast<std::size_t>(sims));
   }
-  for (int k = 0; k < group_->shards(); ++k) {
-    group_->shard(k).set_step_hook(
-        profiler == nullptr ? nullptr
-                            : profiler->lane_hook(static_cast<std::size_t>(k)));
+  for (int k = 0; k < sims; ++k) {
+    sim::Simulator& s = group_ == nullptr ? sim_ : group_->shard(k);
+    s.set_step_hook(profiler == nullptr
+                        ? nullptr
+                        : profiler->lane_hook(static_cast<std::size_t>(k)));
   }
 }
 
@@ -318,12 +320,13 @@ void Cluster::start_metrics_sampler(sim::SimTime interval,
     schedule_sample(interval, out, epoch);
     return;
   }
-  // Sharded: the sampler cannot schedule a tick that reads every server's
-  // counters mid-window (cross-shard reads race with the workers).  Instead
-  // it rides the barrier hook, where all workers are idle and every event
-  // before the horizon has executed: each grid point is emitted, with its
+  // Sharded: a tick scheduled on one shard would read every server's
+  // counters mid-window, while the other shards' clocks stand at arbitrary
+  // points of that window — an incoherent snapshot.  Instead the sampler
+  // rides the barrier hook, where every event before the horizon has
+  // executed and none after it has: each grid point is emitted, with its
   // grid timestamp, once the horizon passes it.  The horizon is a pure
-  // function of the schedule, so the samples are worker-count invariant.
+  // function of the schedule, so the samples are deterministic.
   sampler_next_ = front_->now() + interval;
   group_->set_barrier_hook([this, interval, out, epoch](sim::SimTime horizon) {
     if (!sampler_running_ || epoch != sampler_epoch_) return;

@@ -32,22 +32,20 @@ struct ClusterConfig {
   int client_nodes = 12;  ///< NICs on the client side
   int procs_per_node = 48;
 
-  /// 0 (default): classic single-threaded simulator — byte-identical to
-  /// every run before sharding existed.  >= 1: the sharded windowed core
-  /// (sim::ShardGroup): shard 0 runs the client/MDS side and shard
-  /// 1 + i / shard_group_size runs data server i, with `shards` capping the
-  /// *worker thread* count.  The logical shard structure is fixed by the
-  /// topology and grouping, so results are byte-identical across every
-  /// `shards >= 1` setting; only wall-clock speed changes.  Requires
-  /// positive network latency (the barrier lookahead) — the constructor
-  /// throws std::invalid_argument otherwise.
+  /// Simulation core.  0 (default): the classic single simulator —
+  /// byte-identical to every run before sharding existed.  1: the sharded
+  /// windowed core (sim::ShardGroup): shard 0 runs the client/MDS side and
+  /// shard 1 + i / shard_group_size runs data server i.  Its timing model
+  /// differs from the classic core's, so the two are different
+  /// configurations.  Requires positive network latency (the barrier
+  /// lookahead).  The constructor throws std::invalid_argument for any
+  /// other value or a zero-latency network.
   int shards = 0;
 
   /// Data servers per logical shard when sharded (clamped to >= 1).  With
   /// G > 1 hundreds of servers map onto a handful of shards — the scale
-  /// tier's memory/thread lever.  Grouping is part of the *configuration*
-  /// (like the stripe unit): a fixed grouping is byte-identical across
-  /// worker counts, but different groupings batch cross-shard merges
+  /// tier's memory lever.  Grouping is part of the *configuration*
+  /// (like the stripe unit): different groupings batch cross-shard merges
   /// differently and may legitimately order same-tick ties differently.
   int shard_group_size = 1;
 
@@ -55,8 +53,7 @@ struct ClusterConfig {
   /// it must be >= the network wire latency; windows then widen up to this
   /// bound while other shards are idle or far in the future — fewer
   /// barriers on sparse timelines.  See sim::ShardGroup::set_adaptive_window
-  /// for the safety argument.  Also part of the configuration: deterministic
-  /// across worker counts at any fixed setting.
+  /// for the safety argument.  Also part of the configuration.
   double adaptive_window_us = 0.0;
   pvfs::DataServerConfig server;
   net::NetworkParams network;
@@ -82,7 +79,7 @@ class Cluster {
   /// drive the whole shard group.
   sim::Simulator& sim() { return *front_; }
 
-  /// The shard group, or nullptr for a classic single-threaded cluster.
+  /// The shard group, or nullptr for a classic-core cluster.
   sim::ShardGroup* shard_group() { return group_.get(); }
 
   pvfs::Client& client() { return *client_; }
@@ -118,14 +115,15 @@ class Cluster {
   /// Attach a TraceSession to every layer — client request decomposition,
   /// server queueing/serving, cache operations, device dispatches (nullptr
   /// detaches everywhere).  The session must outlive the cluster or a
-  /// subsequent set_trace(nullptr).
+  /// subsequent set_trace(nullptr).  Classic core only: throws
+  /// std::logic_error for a non-null session on a sharded cluster.
   void set_trace(obs::TraceSession* session);
 
-  /// Attach a SimProfiler to every layer and install it as the simulator's
-  /// step hook (nullptr detaches everywhere).  Wire before running — the
-  /// profiler interns its categories and sizes its per-server heat tables
-  /// here.  While attached, collect_metrics() also publishes the profiler's
-  /// sim.* / prof.* / srv<N>.prof.* rows.
+  /// Attach a SimProfiler to every layer and install one of its lanes as
+  /// each simulator's step hook (nullptr detaches everywhere).  Wire before
+  /// running — the profiler interns its categories and sizes its per-server
+  /// heat tables here.  While attached, collect_metrics() also publishes the
+  /// profiler's sim.* / prof.* / srv<N>.prof.* rows.
   void set_profiler(obs::SimProfiler* profiler);
 
   /// Publish every component's counters into `reg` under the naming scheme
@@ -140,7 +138,7 @@ class Cluster {
   /// emitted at its grid timestamp once the barrier horizon passes it, so
   /// counter values are those visible at that barrier (they may include up
   /// to one window of events past the grid point).  Both modes are
-  /// deterministic — the sharded one is invariant across worker counts.
+  /// deterministic.
   void start_metrics_sampler(sim::SimTime interval, obs::TimeSeries* out);
   void stop_metrics_sampler();
 
@@ -156,7 +154,7 @@ class Cluster {
 
   ClusterConfig cfg_;
   sim::Simulator sim_;  ///< the classic single simulator (cfg.shards == 0)
-  std::unique_ptr<sim::ShardGroup> group_;  ///< set when cfg.shards >= 1
+  std::unique_ptr<sim::ShardGroup> group_;  ///< set when cfg.shards == 1
   sim::Simulator* front_ = &sim_;           ///< shard 0 or sim_
   bool sampler_running_ = false;
   std::uint64_t sampler_epoch_ = 0;

@@ -1,7 +1,7 @@
 #include "fault/engine.hpp"
 
-#include <cassert>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/cache.hpp"
@@ -77,6 +77,14 @@ FaultEngine::~FaultEngine() {
 }
 
 void FaultEngine::set_trace(obs::TraceSession* session) {
+  // Sharded actors run on their servers' shards, whose clocks advance
+  // independently inside a window; a TraceSession stamps spans with one
+  // clock, so tracing an engine requires the classic core.
+  if (session != nullptr && cluster_.shard_group() != nullptr) {
+    throw std::logic_error(
+        "FaultEngine::set_trace: tracing requires the classic core "
+        "(shards = 0)");
+  }
   trace_ = session;
   trace_track_ =
       session != nullptr ? session->track("fault", "engine") : obs::kNoTrack;
@@ -85,9 +93,6 @@ void FaultEngine::set_trace(obs::TraceSession* session) {
 void FaultEngine::start() {
   if (started_) return;
   started_ = true;
-  // Sharded actors run on their servers' shards; the TraceSession has no
-  // cross-shard story, so tracing an engine requires the classic core.
-  assert(trace_ == nullptr || cluster_.shard_group() == nullptr);
   for (int i = 0; i < cluster_.server_count(); ++i) {
     SsdFaultModel* m = models_[static_cast<std::size_t>(i)].get();
     if (m == nullptr) continue;
@@ -208,8 +213,7 @@ std::uint64_t FaultEngine::digest() const {
   FaultDigest d;
   d.update_u64(schedule_digest(schedule_));
   d.update_u64(shared_.digest.value());
-  // Spawn order, so the fold is a pure function of the schedule — invariant
-  // under shard/worker counts.
+  // Spawn order, so the fold is a pure function of the schedule.
   for (const ActorLane& lane : lanes_) d.update_u64(lane.digest.value());
   for (const auto& m : models_) {
     d.update_u64(m != nullptr ? m->digest() : 0);

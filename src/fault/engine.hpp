@@ -40,6 +40,8 @@ class FaultEngine {
   FaultEngine& operator=(const FaultEngine&) = delete;
 
   /// Attach a TraceSession (nullptr to detach); call before start().
+  /// Classic core only: throws std::logic_error for a non-null session on a
+  /// sharded cluster.
   void set_trace(obs::TraceSession* session);
 
   /// Install hooks and spawn the crash actors.  Idempotent.
@@ -75,10 +77,10 @@ class FaultEngine {
   /// Where an actor folds its injected events.  On the classic core every
   /// actor shares one lane — the counters/digest interleave in event-time
   /// order, byte-identical to the engine's original single-digest history.
-  /// On a sharded cluster actors run concurrently on their servers' shards,
-  /// so each gets its own lane (deque: stable addresses), folded in spawn
-  /// order by digest()/stats()/failure() — which makes the merged values a
-  /// pure function of the schedule, invariant under the worker count.
+  /// On a sharded cluster actors run on their servers' shards, whose clocks
+  /// interleave differently, so each gets its own lane (deque: stable
+  /// addresses), folded in spawn order by digest()/stats()/failure() —
+  /// which makes the merged values a pure function of the schedule.
   struct ActorLane {
     Stats stats;
     FaultDigest digest;

@@ -41,8 +41,8 @@ void check_shared_state(const Index& idx, std::vector<Diagnostic>& out) {
                              : "function-local static";
       report(out, v.file, v.line, "static-local",
              std::string(what) + " '" + v.name +
-                 "' is hidden mutable state the parallel sim core cannot "
-                 "shard; hoist it into an owning object, or annotate "
+                 "' is hidden mutable state no shard owns; hoist it into "
+                 "an owning object, or annotate "
                  "shared-ok (reason) / shard-owned(<module>)");
     } else {
       const char* what = v.kind == VarKind::kClassStatic

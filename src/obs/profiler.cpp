@@ -12,11 +12,8 @@ int SimProfiler::category(const char* name) {
     if (std::strcmp(names_[i], name) == 0) return static_cast<int>(i);
   }
   names_.push_back(name);
-  event_counts_.push_back(0);
-  model_ns_.push_back(0);
-  wall_ns_.push_back(0);
-  // Keep already-created shard lanes in sync so a late interning can never
-  // index past a lane's counters.
+  // Keep already-created lanes in sync so a late interning can never index
+  // past a lane's counters.
   for (ProfilerLane& lane : lanes_) {
     lane.event_counts_.push_back(0);
     lane.model_ns_.push_back(0);

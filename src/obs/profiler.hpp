@@ -1,13 +1,13 @@
 // Sim-core profiler: where do a run's events — and its simulated and host
 // time — actually go?
 //
-// SimProfiler implements sim::StepHook, so it observes every event the
-// Simulator executes.  Subsystems mark the running event with a category
-// ("client", "server", "cache", "disk", "ssd") through the same
-// null-guarded-pointer pattern as TraceSession; the first mark during an
-// event wins, so device-completion events are attributed to the device
-// model even when a coroutine resumes on top of them.  Per event the
-// profiler attributes:
+// SimProfiler observes every event a Simulator executes through the
+// sim::StepHook of one of its lanes (below).  Subsystems mark the running
+// event with a category ("client", "server", "cache", "disk", "ssd")
+// through the same null-guarded-pointer pattern as TraceSession; the first
+// mark during an event wins, so device-completion events are attributed to
+// the device model even when a coroutine resumes on top of them.  Per event
+// the profiler attributes:
 //
 //   * model time — the simulated-clock advance the event consumed (the gap
 //     from the previous event's timestamp), credited to the marked
@@ -30,15 +30,16 @@
 // profiler keeps the simulated timeline byte-identical to an unprofiled
 // run.
 //
-// Sharded runs (sim::ShardGroup): one profiler cannot be the step hook of
-// several shards draining on different threads, so set_lane_count() creates
-// one ProfilerLane per shard — each a StepHook owning its own attribution
-// state and counters — and Cluster::set_profiler installs lane k on shard
-// k.  mark() routes through a thread-local active-lane pointer (set by the
-// lane's on_event_begin, cleared by the unsharded hook), so subsystem code
-// is oblivious to sharding.  The accessors and publish() fan the lanes back
-// in; every merged value is a sum/max over per-shard counters, hence
-// worker-count invariant.  See docs/OBSERVABILITY.md.
+// Lanes: the profiler attributes through one ProfilerLane per simulator —
+// a StepHook owning its own attribution state and counters.  Gap time is a
+// per-clock quantity: the shards of a sim::ShardGroup advance their clocks
+// independently inside a window, so one hook across shards would measure
+// gaps between unrelated clocks.  Cluster::set_profiler creates one lane for
+// the classic core and one per shard on the sharded core, and installs lane
+// k on simulator k.  mark() routes through the active-lane pointer (set by
+// each lane's on_event_begin), so subsystem code is oblivious to sharding.
+// The accessors and publish() fan the lanes back in; every merged value is
+// a sum/max over per-simulator counters.  See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <chrono>
@@ -54,13 +55,7 @@ namespace ibridge::obs {
 class MetricsRegistry;
 class ProfilerLane;
 
-/// The lane whose event is currently executing on this thread (sharded runs
-/// only; null under the classic single-threaded hook).  Each worker thread
-/// drains one shard at a time, so one slot per thread suffices.
-// lint: shard-owned(obs)
-inline thread_local ProfilerLane* t_active_lane = nullptr;
-
-class SimProfiler final : public sim::StepHook {
+class SimProfiler {
  public:
   /// Category 0 is pre-registered: events nothing marked (queue plumbing,
   /// coroutine resumptions, daemon ticks).
@@ -69,9 +64,6 @@ class SimProfiler final : public sim::StepHook {
   explicit SimProfiler(bool enable_wall_timing = false)
       : wall_(enable_wall_timing) {
     names_.push_back("other");
-    event_counts_.push_back(0);
-    model_ns_.push_back(0);
-    wall_ns_.push_back(0);
   }
 
   /// Intern a category name (a string literal) and size its counters.
@@ -86,16 +78,16 @@ class SimProfiler final : public sim::StepHook {
 
   /// Attribute the currently running event to `cat`.  First mark per event
   /// wins.  Hot path: no allocation, single predictable branch when unset.
-  /// Routes to the executing shard's lane in sharded runs (defined after
+  /// Routes to the lane of the simulator executing the event (defined after
   /// ProfilerLane below).
   void mark(int cat);
 
-  /// Create one per-shard lane per shard (sharded runs).  Call after every
+  /// Create one lane per simulator the run drains.  Call after every
   /// category() interning and before the run — lanes size their counters to
   /// the categories known here (category() also back-fills existing lanes).
   void set_lane_count(std::size_t n);
   std::size_t lane_count() const { return lanes_.size(); }
-  /// The StepHook to install on shard k's simulator.
+  /// The StepHook to install on simulator k.
   sim::StepHook* lane_hook(std::size_t k);
 
   /// Record one served operation of `bytes` on `server`.  Hot path.
@@ -106,40 +98,13 @@ class SimProfiler final : public sim::StepHook {
     }
   }
 
-  // sim::StepHook — runs inside the Simulator::step() no-alloc zone.  This
-  // is the classic single-simulator hook; sharded runs install lane_hook(k)
-  // per shard instead.
-  void on_event_begin(sim::SimTime now) override {
-    t_active_lane = nullptr;  // a sharded run may have left a stale lane
-    gap_ns_ = (now - last_now_).ns();
-    last_now_ = now;
-    current_cat_ = kOther;
-    cat_marked_ = false;
-    if (wall_) wall_t0_ = std::chrono::steady_clock::now();
-  }
-
-  void on_event_end(sim::SimTime /*now*/, std::size_t pending) override {
-    const auto cat = static_cast<std::size_t>(current_cat_);
-    ++event_counts_[cat];
-    model_ns_[cat] += gap_ns_;
-    depth_sum_ += pending;
-    ++depth_samples_;
-    if (pending > depth_peak_) depth_peak_ = pending;
-    last_depth_ = pending;
-    if (wall_) {
-      wall_ns_[cat] += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - wall_t0_)
-                           .count();
-    }
-  }
-
   /// Write `sim.*`, `prof.*`, and `srv<N>.prof.*` rows into the registry.
   /// Model-derived values only — wall times stay out of the registry (they
   /// are host noise; read them via wall_ns()).
   void publish(MetricsRegistry& reg) const;
 
-  // Accessors (tools, benches, tests).  All fan in the per-shard lanes, so
-  // callers see one merged view whether the run was sharded or not.
+  // Accessors (tools, benches, tests).  All fan in the lanes, so callers
+  // see one merged view whether the run was sharded or not.
   std::size_t category_count() const { return names_.size(); }
   const char* category_name(int cat) const {
     return names_[static_cast<std::size_t>(cat)];
@@ -157,8 +122,7 @@ class SimProfiler final : public sim::StepHook {
   bool wall_timing_enabled() const { return wall_; }
   double queue_depth_mean() const;
   std::size_t queue_depth_peak() const;
-  /// Final queue occupancy: the per-shard sum of each lane's last-seen
-  /// depth in sharded runs.
+  /// Final queue occupancy: the sum of each lane's last-seen depth.
   std::size_t queue_depth_last() const;
   std::size_t server_count() const { return heat_ops_.size(); }
   std::uint64_t heat_ops(std::size_t server) const {
@@ -172,33 +136,19 @@ class SimProfiler final : public sim::StepHook {
   friend class ProfilerLane;
 
   bool wall_;
-  std::vector<const char*> names_;          ///< literals; index = category id
-  std::vector<std::uint64_t> event_counts_;
-  std::vector<std::int64_t> model_ns_;
-  std::vector<std::int64_t> wall_ns_;
-  // Heat tables stay unsharded: each server's entries are only written from
-  // that server's shard, so concurrent writers always touch disjoint
-  // elements.
+  std::vector<const char*> names_;  ///< literals; index = category id
+  // Heat tables are per profiler, not per lane: a server's counters are
+  // keyed by server index already, so there is nothing to fan in.
   std::vector<std::uint64_t> heat_ops_;
   std::vector<std::int64_t> heat_bytes_;
 
-  sim::SimTime last_now_ = sim::SimTime::zero();
-  std::int64_t gap_ns_ = 0;
-  int current_cat_ = kOther;
-  bool cat_marked_ = false;
-  std::chrono::steady_clock::time_point wall_t0_{};
-
-  std::uint64_t depth_sum_ = 0;
-  std::uint64_t depth_samples_ = 0;
-  std::size_t depth_peak_ = 0;
-  std::size_t last_depth_ = 0;
-
-  std::deque<ProfilerLane> lanes_;  ///< stable addresses; one per shard
+  std::deque<ProfilerLane> lanes_;  ///< stable addresses; one per simulator
+  ProfilerLane* active_ = nullptr;  ///< lane of the executing event
 };
 
-/// One shard's step hook: the same attribution state and counters as the
-/// parent profiler, owned exclusively by the worker draining that shard.
-/// Merged back into the parent's accessors after the run.
+/// One simulator's step hook: gap-time attribution against that
+/// simulator's clock, with its own counters.  Merged back into the parent's
+/// accessors after the run.
 class ProfilerLane final : public sim::StepHook {
  public:
   explicit ProfilerLane(SimProfiler* parent)
@@ -214,9 +164,9 @@ class ProfilerLane final : public sim::StepHook {
     }
   }
 
-  // sim::StepHook — same no-alloc contract as the parent's hook.
+  // sim::StepHook — runs inside the Simulator::step() no-alloc zone.
   void on_event_begin(sim::SimTime now) override {
-    t_active_lane = this;
+    parent_->active_ = this;
     gap_ns_ = (now - last_now_).ns();
     last_now_ = now;
     current_cat_ = SimProfiler::kOther;
@@ -260,17 +210,11 @@ class ProfilerLane final : public sim::StepHook {
 };
 
 inline void SimProfiler::mark(int cat) {
-  if (ProfilerLane* lane = t_active_lane; lane != nullptr) {
-    lane->mark(cat);
-    return;
-  }
-  if (!cat_marked_) {
-    current_cat_ = cat;
-    cat_marked_ = true;
-  }
+  if (active_ != nullptr) active_->mark(cat);
 }
 
 inline void SimProfiler::set_lane_count(std::size_t n) {
+  active_ = nullptr;
   lanes_.clear();
   for (std::size_t i = 0; i < n; ++i) lanes_.emplace_back(this);
 }
@@ -281,28 +225,28 @@ inline sim::StepHook* SimProfiler::lane_hook(std::size_t k) {
 
 inline std::uint64_t SimProfiler::events(int cat) const {
   const auto c = static_cast<std::size_t>(cat);
-  std::uint64_t n = event_counts_[c];
+  std::uint64_t n = 0;
   for (const ProfilerLane& lane : lanes_) n += lane.event_counts_[c];
   return n;
 }
 
 inline std::int64_t SimProfiler::model_ns(int cat) const {
   const auto c = static_cast<std::size_t>(cat);
-  std::int64_t n = model_ns_[c];
+  std::int64_t n = 0;
   for (const ProfilerLane& lane : lanes_) n += lane.model_ns_[c];
   return n;
 }
 
 inline std::int64_t SimProfiler::wall_ns(int cat) const {
   const auto c = static_cast<std::size_t>(cat);
-  std::int64_t n = wall_ns_[c];
+  std::int64_t n = 0;
   for (const ProfilerLane& lane : lanes_) n += lane.wall_ns_[c];
   return n;
 }
 
 inline double SimProfiler::queue_depth_mean() const {
-  std::uint64_t sum = depth_sum_;
-  std::uint64_t samples = depth_samples_;
+  std::uint64_t sum = 0;
+  std::uint64_t samples = 0;
   for (const ProfilerLane& lane : lanes_) {
     sum += lane.depth_sum_;
     samples += lane.depth_samples_;
@@ -313,7 +257,7 @@ inline double SimProfiler::queue_depth_mean() const {
 }
 
 inline std::size_t SimProfiler::queue_depth_peak() const {
-  std::size_t peak = depth_peak_;
+  std::size_t peak = 0;
   for (const ProfilerLane& lane : lanes_) {
     if (lane.depth_peak_ > peak) peak = lane.depth_peak_;
   }
@@ -321,7 +265,7 @@ inline std::size_t SimProfiler::queue_depth_peak() const {
 }
 
 inline std::size_t SimProfiler::queue_depth_last() const {
-  std::size_t last = last_depth_;
+  std::size_t last = 0;
   for (const ProfilerLane& lane : lanes_) last += lane.last_depth_;
   return last;
 }

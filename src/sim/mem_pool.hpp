@@ -161,10 +161,12 @@ class PoolAllocator {
 };
 
 /// The coroutine-frame pool of the current thread (sim::Task's promises
-/// allocate and free through it).  Thread-local because exp::Runner workers
-/// each run whole simulations: a frame is always freed on the thread that
-/// allocated it, and must be freed before that thread exits — which the
-/// structured Task/TaskGroup/JoinSet ownership discipline guarantees.
+/// allocate and free through it).  Thread-local only for exp::Runner jobs:
+/// a simulation, every shard included, runs on one thread, but a Runner
+/// runs several simulations on its workers at once.  A frame is therefore
+/// always freed on the thread that allocated it, and must be freed before
+/// that thread exits — which the structured Task/TaskGroup/JoinSet
+/// ownership discipline guarantees.
 inline ChunkPool& frame_pool() {
   // lint: shared-ok (one pool per exp::Runner worker thread by design; a frame is always freed on its allocating thread)
   thread_local ChunkPool pool;

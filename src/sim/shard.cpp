@@ -7,8 +7,7 @@
 
 namespace ibridge::sim {
 
-ShardGroup::ShardGroup(int shards, SimTime lookahead, int workers)
-    : lookahead_(lookahead) {
+ShardGroup::ShardGroup(int shards, SimTime lookahead) : lookahead_(lookahead) {
   if (shards < 1) {
     throw std::invalid_argument("ShardGroup: shards must be >= 1");
   }
@@ -17,7 +16,6 @@ ShardGroup::ShardGroup(int shards, SimTime lookahead, int workers)
     // window that sent it; the conservative argument needs W > 0.
     throw std::invalid_argument("ShardGroup: lookahead must be positive");
   }
-  workers_ = workers < 1 ? 1 : (workers > shards ? shards : workers);
   outbox_.resize(static_cast<std::size_t>(shards));
   ends_.resize(static_cast<std::size_t>(shards), SimTime::zero());
   for (int i = 0; i < shards; ++i) {
@@ -25,33 +23,24 @@ ShardGroup::ShardGroup(int shards, SimTime lookahead, int workers)
     s.group_ = this;
     s.shard_id_ = static_cast<std::uint32_t>(i);
   }
-  threads_.reserve(static_cast<std::size_t>(workers_ - 1));
-  for (int w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-ShardGroup::~ShardGroup() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : threads_) t.join();
 }
 
 void ShardGroup::post(Simulator& from, Simulator& to, SimTime when,
                       InlineEvent fn) {
   assert(from.group_ == this && to.group_ == this);
   if (running_) {
-    assert(when >= from.now() + lookahead_ &&
-           "cross-shard post inside the lookahead horizon");
+    // Delivered at the barrier, such a post would land in the target
+    // shard's past.
+    if (when < from.now() + lookahead_) {
+      throw std::logic_error(
+          "ShardGroup::post: cross-shard post inside the lookahead horizon");
+    }
     outbox_[from.shard_id_].push_back(
         PostRec{when, to.shard_id_, std::move(fn)});
     return;
   }
-  // Driver phase: single-threaded, deliver directly.  Shard clocks are
-  // synchronized after run_all/run_all_until, but clamp defensively.
+  // Driver phase: deliver directly.  Shard clocks are synchronized after
+  // run_all/run_all_until, but clamp defensively.
   to.schedule_at(when < to.now() ? to.now() : when, std::move(fn));
 }
 
@@ -92,8 +81,8 @@ void ShardGroup::place_windows(SimTime m, SimTime cap) {
   }
   // Two smallest next-event times over all shards: shard s's bound depends
   // on the minimum over the *other* shards, which is min2 when s itself is
-  // the argmin and min1 otherwise.  O(shards), single-threaded, and a pure
-  // function of worker-invariant state.
+  // the argmin and min1 otherwise.  O(shards), and a pure function of the
+  // shards' next-event times.
   SimTime t1 = SimTime::max();
   SimTime t2 = SimTime::max();
   std::size_t arg1 = n;
@@ -120,57 +109,13 @@ void ShardGroup::place_windows(SimTime m, SimTime cap) {
 }
 
 void ShardGroup::run_window() {
-  const int n = shards();
-  if (workers_ == 1) {
-    // Same code path semantically as the threaded branch: running_ must be
-    // true so posts buffer into outboxes and merge at the barrier — that is
-    // what keeps one worker byte-identical to many.
-    running_ = true;
-    for (int s = 0; s < n; ++s) {
-      const std::size_t i = static_cast<std::size_t>(s);
-      sims_[i].drain_window(ends_[i]);
-    }
-    running_ = false;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    running_ = true;
-    active_ = workers_ - 1;
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-  for (int s = 0; s < n; s += workers_) {
-    const std::size_t i = static_cast<std::size_t>(s);
+  // running_ makes posts buffer into outboxes and merge at the barrier, so
+  // no shard observes another inside a window.
+  running_ = true;
+  for (std::size_t i = 0; i < sims_.size(); ++i) {
     sims_[i].drain_window(ends_[i]);
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return active_ == 0; });
-    running_ = false;
-  }
-}
-
-void ShardGroup::worker_loop(int w) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [this, seen] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-    }
-    const int n = shards();
-    for (int s = w; s < n; s += workers_) {
-      const std::size_t i = static_cast<std::size_t>(s);
-      sims_[i].drain_window(ends_[i]);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-    }
-    cv_done_.notify_one();
-  }
+  running_ = false;
 }
 
 void ShardGroup::deliver() {
@@ -183,7 +128,7 @@ void ShardGroup::deliver() {
   // Stable sort by arrival time over the source-shard-ordered concatenation
   // realizes the (when, src shard, send order) merge; the target shard then
   // assigns fresh (monotone) sequence numbers in exactly this order, fixing
-  // the same-tick cross-shard tie-break independent of worker count.
+  // the same-tick cross-shard tie-break.
   std::stable_sort(
       scratch_.begin(), scratch_.end(),
       [](const PostRec& a, const PostRec& b) { return a.when < b.when; });
@@ -205,7 +150,7 @@ void ShardGroup::run_all() {
     const SimTime m = next_time();
     if (m == SimTime::max()) break;
     // At this point every event strictly before `m` has executed on every
-    // shard and no worker is running: the coherent horizon for the hook.
+    // shard and none after it has: the coherent horizon for the hook.
     if (barrier_hook_) barrier_hook_(m);
     place_windows(m, SimTime::max());
     run_window();

@@ -9,11 +9,11 @@
 //
 // Simulators can also be grouped into a sim::ShardGroup (sim/shard.hpp): each
 // member owns one shard of a larger model (one data server's device/cache
-// event stream) and drains its local queue on a worker thread inside
-// deterministic time windows.  A grouped simulator's run()-family entry
-// points transparently delegate to the group, so driver code written against
-// `sim().run_while_pending(...)` works unchanged whether the cluster is
-// sharded or not.
+// event stream) and drains its local queue inside deterministic time
+// windows, exchanging cross-shard events only at the barriers between them.
+// A grouped simulator's run()-family entry points transparently delegate to
+// the group, so driver code written against `sim().run_while_pending(...)`
+// works unchanged whether the cluster is sharded or not.
 //
 // Hot-path engineering (measured by bench/bench_simcore.cpp, design notes in
 // docs/PERF.md):
@@ -48,7 +48,8 @@ namespace ibridge::sim {
 
 class ShardGroup;
 
-/// Observer of individual simulator steps (the obs::SimProfiler hook).
+/// Observer of individual simulator steps (obs::ProfilerLane, one per
+/// simulator an obs::SimProfiler observes).
 /// Both callbacks run inside Simulator::step(), which is a static no-alloc
 /// zone — implementations must not allocate (pre-size any state up front).
 class StepHook {

@@ -157,8 +157,9 @@ class SimPromise {
   // promise/future pair lives exactly as long as one request, so the node
   // freed at completion is recycled by the next submit and steady-state
   // request churn never touches the global allocator.  Thread-locality holds
-  // for the same reason it does for Task frames: shards are statically
-  // pinned to workers, so a state is freed on the thread that allocated it.
+  // for the same reason it does for Task frames: a simulation, every shard
+  // included, runs on one thread, so a state is freed on the thread that
+  // allocated it.
   explicit SimPromise(Simulator& sim)
       : state_(std::allocate_shared<detail::FutureState<T>>(
             PoolAllocator<detail::FutureState<T>>(frame_pool()))) {

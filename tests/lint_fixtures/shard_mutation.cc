@@ -1,6 +1,6 @@
 // Fixture: a mutating method call on shard-owned state from a module other
 // than its declared owner must trip the shard-ownership rule (once).  The
-// parallel sim core requires cross-shard mutations to travel through the
+// sharded sim core requires cross-shard mutations to travel through the
 // owner's mailbox/barrier path (ShardGroup::post), never a direct container
 // touch — a plain assignment is not the only way to meddle.
 namespace fixture {

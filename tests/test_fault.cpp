@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "check/differential.hpp"
@@ -412,6 +413,19 @@ TEST(FaultEngineTest, StatsAndTraceSpansAndCleanTeardown) {
                       "after-teardown.dat");
   EXPECT_TRUE(again.ok()) << again.failure;
   EXPECT_FALSE(again.faulted);
+}
+
+/// Sharded actors run on their servers' shard clocks, which one
+/// TraceSession cannot follow: attaching a trace is refused in every build
+/// type.
+TEST(FaultEngineTest, TraceOnShardedClusterThrows) {
+  check::FuzzCase c = check::generate_case(0xbeef);
+  c.base.shards = 1;
+  cluster::Cluster cl(check::make_config(c, check::Policy::kIBridge));
+  obs::TraceSession trace(cl.sim());
+  FaultEngine eng(cl, FaultSchedule{});
+  EXPECT_THROW(eng.set_trace(&trace), std::logic_error);
+  eng.set_trace(nullptr);
 }
 
 }  // namespace

@@ -393,7 +393,8 @@ TEST(SimProfiler, GapAttributionAndFirstMarkWins) {
   const int cache = prof.category("cache");
   EXPECT_EQ(prof.category("disk"), disk) << "re-interning returns the id";
   prof.set_server_count(2);
-  sim.set_step_hook(&prof);
+  prof.set_lane_count(1);
+  sim.set_step_hook(prof.lane_hook(0));
   sim.schedule(ms(2), [&] {
     prof.mark(disk);
     prof.mark(cache);  // second mark per event is ignored

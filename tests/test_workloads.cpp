@@ -91,6 +91,11 @@ struct SynthCase {
   double unaligned, random;  // Table I targets (%)
 };
 
+// gtest puts the printed parameter into each listed test name. Without this
+// overload it dumps the object's bytes, and the pointer inside the profile
+// name's std::string makes that name differ on every run.
+void PrintTo(const SynthCase& c, std::ostream* os) { *os << c.profile.name; }
+
 class SynthesizerMatchesTableI : public ::testing::TestWithParam<SynthCase> {};
 
 TEST_P(SynthesizerMatchesTableI, WithinTwoPercent) {

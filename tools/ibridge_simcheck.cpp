@@ -1,6 +1,6 @@
 // ibridge-simcheck — standalone SimCheck fuzz runner.
 //
-//   ibridge-simcheck [--iters N] [--seed S] [--jobs J] [--shards K]
+//   ibridge-simcheck [--iters N] [--seed S] [--jobs J] [--shards 0|1]
 //                    [--group-size G] [--adaptive US]
 //                    [--determinism] [--faults healthy|gc|crash|mixed]
 //                    [--digests FILE] [--out FILE]
@@ -17,25 +17,21 @@
 // --digests, byte-identical replay including the fault digest — is enforced
 // under injected failures too.
 //
-// --shards K runs every cluster on the sharded parallel simulation core
-// with up to K worker threads (0, the default, keeps the classic
-// single-queue core).  The sharded core is deterministic by construction —
-// the window schedule and barrier merge order never depend on the worker
-// count — so the --digests file must be byte-identical across every K >= 1,
-// healthy and under --faults alike, which is exactly what the CI
-// shard-digest-identity job asserts.
+// --shards selects the simulation core: 0 (the default) the classic
+// single-queue core, 1 the sharded windowed core (ClusterConfig::shards).
+// The two cores time events differently, so their digests differ; each is
+// deterministic on its own.
 //
 // --group-size G maps G data servers onto each logical shard and
 // --adaptive US caps the adaptive barrier window at US microseconds (the
-// scale-campaign configuration).  Both are part of the *configuration*: at
-// any fixed (G, US) the digests stay byte-identical across every K >= 1,
-// so CI repeats the identity sweep with them set.  They only apply when
-// --shards K >= 1.
+// scale-campaign configuration).  Both are part of the *configuration* and
+// change the digests; they only apply with --shards 1.
 //
 // --jobs J fans the independent cases over an exp::Runner thread pool; each
 // job builds its own clusters, so the per-seed results — and the --digests
 // file — are byte-identical at every J (the parallel-determinism acceptance
-// criterion; tests/test_exp.cpp holds the corresponding regression test).
+// criterion; tests/test_exp.cpp holds the corresponding regression test,
+// and the CI sharded-digests job compares J = 1 and 2 on the sharded core).
 // --digests FILE records one line per passing seed with the payload/image
 // digests (equal across policies by construction) and the per-policy stats
 // digests, for cross-run comparison with `diff`.
@@ -71,7 +67,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: ibridge-simcheck [--iters N] [--seed S] [--jobs J] "
-               "[--shards K] [--group-size G] [--adaptive US] "
+               "[--shards 0|1] [--group-size G] [--adaptive US] "
                "[--determinism] [--faults healthy|gc|crash|mixed] "
                "[--digests FILE] [--out FILE]\n");
   return 2;
@@ -117,7 +113,7 @@ int main(int argc, char** argv) {
           exp::require_int("ibridge-simcheck", "--jobs", argv[++i], 1, 256));
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = static_cast<int>(
-          exp::require_int("ibridge-simcheck", "--shards", argv[++i], 0, 64));
+          exp::require_int("ibridge-simcheck", "--shards", argv[++i], 0, 1));
     } else if (std::strcmp(argv[i], "--group-size") == 0 && i + 1 < argc) {
       group_size = static_cast<int>(exp::require_int(
           "ibridge-simcheck", "--group-size", argv[++i], 1, 4096));
