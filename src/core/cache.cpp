@@ -52,7 +52,7 @@ void IBridgeCache::stop() {
   ++daemon_epoch_;
 }
 
-std::int64_t IBridgeCache::disk_lbn(const CacheRequest& r) const {
+std::int64_t IBridgeCache::disk_lbn(const CacheRequest& r) {
   const auto& f = disk_fs_.file(r.file);
   if ((r.offset + r.length).value() > f.size()) {
     // Write extending the file: predict placement at the current tail.
@@ -60,17 +60,17 @@ std::int64_t IBridgeCache::disk_lbn(const CacheRequest& r) const {
     if (ext.empty()) return 0;
     return ext.back().lbn + ext.back().sectors;
   }
-  auto pieces = f.map(r.offset.value(), r.length.count());
-  assert(!pieces.empty());
-  return pieces.front().lbn;
+  f.map_into(r.offset.value(), r.length.count(), map_scratch_);
+  assert(!map_scratch_.empty());
+  return map_scratch_.front().lbn;
 }
 
-std::int64_t IBridgeCache::disk_end_lbn(const CacheRequest& r) const {
+std::int64_t IBridgeCache::disk_end_lbn(const CacheRequest& r) {
   const auto& f = disk_fs_.file(r.file);
   if ((r.offset + r.length).value() > f.size()) return disk_lbn(r);
-  auto pieces = f.map(r.offset.value(), r.length.count());
-  assert(!pieces.empty());
-  return pieces.back().lbn + pieces.back().sectors;
+  f.map_into(r.offset.value(), r.length.count(), map_scratch_);
+  assert(!map_scratch_.empty());
+  return map_scratch_.back().lbn + map_scratch_.back().sectors;
 }
 
 bool IBridgeCache::window_overlaps(const std::vector<RangeWindow>& ws,
@@ -287,12 +287,12 @@ void IBridgeCache::charge_mapping_update(Offset near_log_off) {
   // implementation appends the updated table entry with the log record).
   const std::int64_t off =
       std::min(near_log_off.value(), ssd_fs_.file(log_file_).size() - 512);
-  auto pieces = ssd_fs_.file(log_file_).map(
-      std::max<std::int64_t>(off, 0), cfg_.mapping_entry_bytes);
-  if (pieces.empty()) return;
+  ssd_fs_.file(log_file_).map_into(std::max<std::int64_t>(off, 0),
+                                   cfg_.mapping_entry_bytes, map_scratch_);
+  if (map_scratch_.empty()) return;
   // Fire and forget: the device charges the time; nothing waits on it.
-  ssd_fs_.device().submit(
-      {IoDirection::kWrite, pieces.front().lbn, pieces.front().sectors, 0});
+  ssd_fs_.device().submit({IoDirection::kWrite, map_scratch_.front().lbn,
+                           map_scratch_.front().sectors, 0});
 }
 
 sim::Task<ServeResult> IBridgeCache::serve(CacheRequest r,

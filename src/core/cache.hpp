@@ -181,8 +181,8 @@ class IBridgeCache {
 
   /// First disk LBN the request would touch (lambda_i of Equation 1).
   // lint: units-ok (LBNs are device sector addresses, not byte offsets)
-  std::int64_t disk_lbn(const CacheRequest& r) const;
-  std::int64_t disk_end_lbn(const CacheRequest& r) const;  // lint: units-ok (LBN)
+  std::int64_t disk_lbn(const CacheRequest& r);
+  std::int64_t disk_end_lbn(const CacheRequest& r);  // lint: units-ok (LBN)
 
   /// Trim every cached entry overlapping [off, off+len) of `file`,
   /// releasing the freed log space.  Dirty data in the range is dropped —
@@ -300,6 +300,9 @@ class IBridgeCache {
   sim::VectorPool<EntryId> id_pool_;
   sim::VectorPool<std::pair<Offset, Bytes>> range_pool_;
   sim::VectorPool<std::uint64_t> pin_pool_;
+  /// Extent-map scratch for disk_lbn/disk_end_lbn/charge_mapping_update;
+  /// each call consumes it before the next one refills it.
+  std::vector<fsim::MappedRange> map_scratch_;
   CacheObserver* observer_ = nullptr;
   WritebackGate* writeback_gate_ = nullptr;
   obs::TraceSession* trace_ = nullptr;

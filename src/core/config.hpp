@@ -89,12 +89,13 @@ struct IBridgeConfig {
   /// (the paper updates dirty table entries on the SSD with each write).
   std::int64_t mapping_entry_bytes = 64;
 
-  /// MappingTable slots reserved at construction (slab + hash index + dirty
-  /// scratch), so steady-state entry churn below this mark never grows
-  /// them.  The hard ceiling on live entries is ssd_cache_bytes divided by
-  /// the smallest cached range; the default covers typical working sets
-  /// without bloating small runs — scale campaigns raise it alongside
-  /// ssd_cache_bytes.
+  /// MappingTable slab slots reserved at construction, so steady-state entry
+  /// churn below this mark never grows the slab.  The table's sorted-block
+  /// indexes are not reserved: they grow with the live set and recycle
+  /// emptied blocks.  The hard ceiling on live entries is ssd_cache_bytes
+  /// divided by the smallest cached range; the default covers typical
+  /// working sets without bloating small runs — scale campaigns raise it
+  /// alongside ssd_cache_bytes.
   std::int64_t mapping_reserve_entries = 4096;
 
   /// Convenience: the stock (no-SSD) configuration.

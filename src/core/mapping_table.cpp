@@ -9,28 +9,17 @@
 
 namespace ibridge::core {
 
-MappingTable::MappingTable()
-    : entries_(0, EntriesMap::hasher{}, EntriesMap::key_equal{},
-               EntriesMap::allocator_type{arena_}),
-      by_file_(ByFileMap::key_compare{}, ByFileMap::allocator_type{arena_}),
-      by_log_(ByLogMap::key_compare{}, ByLogMap::allocator_type{arena_}) {}
-
-void MappingTable::reserve(std::size_t entries) {
-  slab_.reserve(entries);
-  entries_.reserve(entries);
-  dirty_scratch_.reserve(entries);
-}
+void MappingTable::reserve(std::size_t entries) { slab_.reserve(entries); }
 
 std::uint32_t MappingTable::slot_of(EntryId id) const {
-  auto it = entries_.find(id);
-  assert(it != entries_.end());
-  return it->second;
+  assert(contains(id));
+  return static_cast<std::uint32_t>(id);
 }
 
 std::uint32_t MappingTable::alloc_slot() {
   if (free_head_ != kNil) {
     const std::uint32_t s = free_head_;
-    free_head_ = slab_[s].link[kLruChain].next;
+    free_head_ = slab_[s].next;
     return s;
   }
   slab_.emplace_back();
@@ -38,17 +27,21 @@ std::uint32_t MappingTable::alloc_slot() {
 }
 
 void MappingTable::free_slot(std::uint32_t s) {
-  slab_[s].id = kNoEntry;
-  slab_[s].link[kLruChain].next = free_head_;
+  Slot& slot = slab_[s];
+  slot.live = false;
+  // Retire every id this slot has handed out; generation 0 is skipped so no
+  // id ever equals kNoEntry.
+  if (++slot.gen == 0) slot.gen = 1;
+  slot.next = free_head_;
   free_head_ = s;
 }
 
-void MappingTable::list_push_back(int chain, ListHead& h, std::uint32_t s) {
-  Links& l = slab_[s].link[chain];
-  l.prev = h.tail;
-  l.next = kNil;
+void MappingTable::list_push_back(ListHead& h, std::uint32_t s) {
+  Slot& slot = slab_[s];
+  slot.prev = h.tail;
+  slot.next = kNil;
   if (h.tail != kNil) {
-    slab_[h.tail].link[chain].next = s;
+    slab_[h.tail].next = s;
   } else {
     h.head = s;
   }
@@ -56,19 +49,19 @@ void MappingTable::list_push_back(int chain, ListHead& h, std::uint32_t s) {
   ++h.size;
 }
 
-void MappingTable::list_unlink(int chain, ListHead& h, std::uint32_t s) {
-  Links& l = slab_[s].link[chain];
-  if (l.prev != kNil) {
-    slab_[l.prev].link[chain].next = l.next;
+void MappingTable::list_unlink(ListHead& h, std::uint32_t s) {
+  Slot& slot = slab_[s];
+  if (slot.prev != kNil) {
+    slab_[slot.prev].next = slot.next;
   } else {
-    h.head = l.next;
+    h.head = slot.next;
   }
-  if (l.next != kNil) {
-    slab_[l.next].link[chain].prev = l.prev;
+  if (slot.next != kNil) {
+    slab_[slot.next].prev = slot.prev;
   } else {
-    h.tail = l.prev;
+    h.tail = slot.prev;
   }
-  l.prev = l.next = kNil;
+  slot.prev = slot.next = kNil;
   --h.size;
 }
 
@@ -76,27 +69,28 @@ EntryId MappingTable::insert(CacheEntry e) {
   assert(e.length > Bytes::zero());
   assert(!has_overlap(e.file, e.file_off, e.length) &&
          "insert over existing cached range");
-  const EntryId id = next_id_++;
   const std::uint32_t s = alloc_slot();
   Slot& slot = slab_[s];
   slot.entry = e;
-  slot.id = id;
-  entries_.emplace(id, s);
-  list_push_back(kLruChain, lru_[idx(e.klass)], s);
-  if (e.dirty) list_push_back(kDirtyChain, dirty_[idx(e.klass)], s);
+  slot.live = true;
+  list_push_back(lru_[idx(e.klass)], s);
   account_add(e);
-  index_insert(id, e);
-  return id;
+  [[maybe_unused]] const bool fresh = by_file_.insert({e.file, e.file_off}, s);
+  assert(fresh && "two entries with identical start offset");
+  [[maybe_unused]] const bool fresh_log = by_log_.insert(e.log_off, s);
+  assert(fresh_log && "two entries with identical log offset");
+  if (e.dirty) dirty_.insert({e.file, e.file_off}, s);
+  return id_of(s);
 }
 
 CacheEntry MappingTable::erase(EntryId id) {
   const std::uint32_t s = slot_of(id);
   const CacheEntry e = slab_[s].entry;
-  list_unlink(kLruChain, lru_[idx(e.klass)], s);
-  if (e.dirty) list_unlink(kDirtyChain, dirty_[idx(e.klass)], s);
+  list_unlink(lru_[idx(e.klass)], s);
   account_remove(e);
-  index_erase(id, e);
-  entries_.erase(id);
+  by_file_.erase({e.file, e.file_off});
+  by_log_.erase(e.log_off);
+  if (e.dirty) dirty_.erase({e.file, e.file_off});
   free_slot(s);
   return e;
 }
@@ -111,7 +105,7 @@ void MappingTable::mark_clean(EntryId id) {
   if (e.dirty) {
     e.dirty = false;
     dirty_bytes_ -= e.length;
-    list_unlink(kDirtyChain, dirty_[idx(e.klass)], s);
+    dirty_.erase({e.file, e.file_off});
   }
 }
 
@@ -121,7 +115,7 @@ void MappingTable::mark_dirty(EntryId id) {
   if (!e.dirty) {
     e.dirty = true;
     dirty_bytes_ += e.length;
-    list_push_back(kDirtyChain, dirty_[idx(e.klass)], s);
+    dirty_.insert({e.file, e.file_off}, s);
   }
 }
 
@@ -129,8 +123,8 @@ void MappingTable::touch(EntryId id) {
   const std::uint32_t s = slot_of(id);
   ListHead& lru = lru_[idx(slab_[s].entry.klass)];
   if (lru.tail == s) return;  // already MRU
-  list_unlink(kLruChain, lru, s);
-  list_push_back(kLruChain, lru, s);
+  list_unlink(lru, s);
+  list_push_back(lru, s);
 }
 
 // lint: no-alloc
@@ -144,21 +138,22 @@ void MappingTable::coverage_into(fsim::FileId file, Offset off, Bytes len,
   // or before it.
   auto it = by_file_.upper_bound(FileKey{file, pos});
   if (it == by_file_.begin()) return;
-  --it;
-  if (it->first.first != file) return;
+  it = by_file_.prev(it);
+  if (by_file_.key(it).first != file) return;
   while (pos < end) {
-    const CacheEntry& e = slab_[slot_of(it->second)].entry;
+    const std::uint32_t s = by_file_.value(it);
+    const CacheEntry& e = slab_[s].entry;
     if (pos < e.file_off || pos >= e.file_end()) {  // gap
       out.clear();
       return;
     }
     const Bytes take = std::min(end, e.file_end()) - pos;
     // lint: alloc-ok (pooled lease: serve passes slice_pool_ vectors whose capacity survives release/acquire)
-    out.push_back({it->second, pos, e.log_off + (pos - e.file_off), take});
+    out.push_back({id_of(s), pos, e.log_off + (pos - e.file_off), take});
     pos += take;
     if (pos >= end) break;
-    ++it;
-    if (it == by_file_.end() || it->first.first != file) {  // ran out
+    it = by_file_.next(it);
+    if (it == by_file_.end() || by_file_.key(it).first != file) {  // ran out
       out.clear();
       return;
     }
@@ -173,18 +168,18 @@ void MappingTable::overlapping_into(fsim::FileId file, Offset off, Bytes len,
 
   auto it = by_file_.upper_bound(FileKey{file, off});
   if (it != by_file_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first.first == file) {
-      const CacheEntry& e = slab_[slot_of(prev->second)].entry;
+    const auto prev = by_file_.prev(it);
+    if (by_file_.key(prev).first == file) {
+      const std::uint32_t s = by_file_.value(prev);
       // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
-      if (e.file_end() > off) out.push_back(prev->second);
+      if (slab_[s].entry.file_end() > off) out.push_back(id_of(s));
     }
   }
-  for (; it != by_file_.end() && it->first.first == file &&
-         it->first.second < end;
-       ++it) {
+  for (; it != by_file_.end() && by_file_.key(it).first == file &&
+         by_file_.key(it).second < end;
+       it = by_file_.next(it)) {
     // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
-    out.push_back(it->second);
+    out.push_back(id_of(by_file_.value(it)));
   }
 }
 
@@ -193,14 +188,14 @@ bool MappingTable::has_overlap(fsim::FileId file, Offset off,
   const Offset end = off + len;
   auto it = by_file_.upper_bound(FileKey{file, off});
   if (it != by_file_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first.first == file) {
-      const CacheEntry& e = slab_[slot_of(prev->second)].entry;
-      if (e.file_end() > off) return true;
+    const auto prev = by_file_.prev(it);
+    if (by_file_.key(prev).first == file &&
+        slab_[by_file_.value(prev)].entry.file_end() > off) {
+      return true;
     }
   }
-  return it != by_file_.end() && it->first.first == file &&
-         it->first.second < end;
+  return it != by_file_.end() && by_file_.key(it).first == file &&
+         by_file_.key(it).second < end;
 }
 
 std::vector<LogSlice> MappingTable::coverage(fsim::FileId file, Offset off,
@@ -243,44 +238,24 @@ void MappingTable::trim(EntryId id, Offset off, Bytes len,
 
 EntryId MappingTable::lru_victim(CacheClass c) const {
   const ListHead& lru = lru_[idx(c)];
-  return lru.head == kNil ? kNoEntry : slab_[lru.head].id;
+  return lru.head == kNil ? kNoEntry : id_of(lru.head);
 }
 
 // lint: no-alloc
 void MappingTable::dirty_entries_into(Bytes max_bytes,
                                       std::vector<EntryId>& out) const {
   out.clear();
-  // Walk only the intrusive dirty lists, then order by (file, offset) so a
-  // batch is as contiguous as the dirty data allows — the write-back path
-  // coalesces adjacent entries into single long disk writes ("as many long
-  // sequential accesses as possible").
-  dirty_scratch_.clear();
-  for (int c = 0; c < kNumClasses; ++c) {
-    for (std::uint32_t s = dirty_[c].head; s != kNil;
-         s = slab_[s].link[kDirtyChain].next) {
-      // lint: alloc-ok (member scratch: capacity reaches dirty-entry high-water mark once, then stays)
-      dirty_scratch_.push_back(s);
-    }
-  }
-  // The budget usually takes a small prefix of a large dirty set, so select
-  // that prefix with a heap rather than sorting every entry: heapify in
-  // place, then pop entries in order until the budget is spent.  No two
-  // entries share a (file, offset), so this is exactly the sorted prefix.
-  const auto later = [this](std::uint32_t a, std::uint32_t b) {
-    const CacheEntry& ea = slab_[a].entry;
-    const CacheEntry& eb = slab_[b].entry;
-    if (ea.file != eb.file) return ea.file > eb.file;
-    return ea.file_off > eb.file_off;
-  };
-  std::make_heap(dirty_scratch_.begin(), dirty_scratch_.end(), later);
+  // The dirty index is in (file, offset) order, so a batch is as contiguous
+  // as the dirty data allows — the write-back path coalesces adjacent
+  // entries into single long disk writes ("as many long sequential accesses
+  // as possible") — and the walk stops where the budget does.
   Bytes budget = max_bytes;
-  for (auto end = dirty_scratch_.end(); end != dirty_scratch_.begin(); --end) {
-    std::pop_heap(dirty_scratch_.begin(), end, later);
-    const std::uint32_t s = *(end - 1);
+  for (auto it = dirty_.begin(); it != dirty_.end(); it = dirty_.next(it)) {
+    const std::uint32_t s = dirty_.value(it);
     const CacheEntry& e = slab_[s].entry;
     if (budget - e.length < Bytes::zero() && !out.empty()) return;
     // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
-    out.push_back(slab_[s].id);
+    out.push_back(id_of(s));
     budget -= e.length;
     if (budget <= Bytes::zero()) return;
   }
@@ -298,14 +273,16 @@ void MappingTable::entries_in_log_range_into(Offset log_begin, Offset log_end,
   out.clear();
   auto it = by_log_.upper_bound(log_begin);
   if (it != by_log_.begin()) {
-    auto prev = std::prev(it);
-    const CacheEntry& e = slab_[slot_of(prev->second)].entry;
+    const std::uint32_t s = by_log_.value(by_log_.prev(it));
+    const CacheEntry& e = slab_[s].entry;
     // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
-    if (e.log_off + e.length > log_begin) out.push_back(prev->second);
+    if (e.log_off + e.length > log_begin) out.push_back(id_of(s));
   }
-  for (; it != by_log_.end() && it->first < log_end; ++it)
+  for (; it != by_log_.end() && by_log_.key(it) < log_end;
+       it = by_log_.next(it)) {
     // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
-    out.push_back(it->second);
+    out.push_back(id_of(by_log_.value(it)));
+  }
 }
 
 std::vector<EntryId> MappingTable::entries_in_log_range(Offset log_begin,
@@ -317,8 +294,11 @@ std::vector<EntryId> MappingTable::entries_in_log_range(Offset log_begin,
 
 std::vector<EntryId> MappingTable::all_entries() const {
   std::vector<EntryId> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, id] : by_file_) out.push_back(id);
+  out.reserve(by_file_.size());
+  for (auto it = by_file_.begin(); it != by_file_.end();
+       it = by_file_.next(it)) {
+    out.push_back(id_of(by_file_.value(it)));
+  }
   return out;
 }
 
@@ -326,8 +306,8 @@ std::vector<EntryId> MappingTable::lru_order(CacheClass c) const {
   std::vector<EntryId> out;
   const ListHead& lru = lru_[idx(c)];
   out.reserve(lru.size);
-  for (std::uint32_t s = lru.head; s != kNil; s = slab_[s].link[kLruChain].next)
-    out.push_back(slab_[s].id);
+  for (std::uint32_t s = lru.head; s != kNil; s = slab_[s].next)
+    out.push_back(id_of(s));
   return out;
 }
 
@@ -341,8 +321,7 @@ void MappingTable::save(std::ostream& os) const {
   // to the back of each class list — front stays LRU, back stays MRU.
   // ret_ms is stored as its IEEE-754 bit pattern for an exact round trip.
   for (int c = 0; c < kNumClasses; ++c) {
-    for (std::uint32_t s = lru_[c].head; s != kNil;
-         s = slab_[s].link[kLruChain].next) {
+    for (std::uint32_t s = lru_[c].head; s != kNil; s = slab_[s].next) {
       const CacheEntry& e = slab_[s].entry;
       os << e.file << ' ' << e.file_off.value() << ' ' << e.length.count()
          << ' ' << e.log_off.value() << ' ' << (e.dirty ? 1 : 0) << ' ' << c
@@ -352,7 +331,7 @@ void MappingTable::save(std::ostream& os) const {
 }
 
 bool MappingTable::load(std::istream& is) {
-  assert(entries_.empty() && "load into a non-empty table");
+  assert(entry_count() == 0 && "load into a non-empty table");
   std::string magic;
   std::size_t n = 0;
   if (!(is >> magic >> n) || magic != kTableMagic) return false;
@@ -379,25 +358,6 @@ bool MappingTable::load(std::istream& is) {
     insert(e);
   }
   return true;
-}
-
-void MappingTable::index_insert(EntryId id, const CacheEntry& e) {
-  auto [it, inserted] = by_file_.emplace(FileKey{e.file, e.file_off}, id);
-  (void)it;
-  assert(inserted && "two entries with identical start offset");
-  auto [lit, linserted] = by_log_.emplace(e.log_off, id);
-  (void)lit;
-  assert(linserted && "two entries with identical log offset");
-}
-
-void MappingTable::index_erase(EntryId id, const CacheEntry& e) {
-  auto log_it = by_log_.find(e.log_off);
-  assert(log_it != by_log_.end() && log_it->second == id);
-  by_log_.erase(log_it);
-  auto it = by_file_.find(FileKey{e.file, e.file_off});
-  assert(it != by_file_.end() && it->second == id);
-  (void)id;
-  by_file_.erase(it);
 }
 
 void MappingTable::account_add(const CacheEntry& e) {

@@ -16,26 +16,27 @@
 //   * per-class LRU with byte/return accounting for the partition logic.
 //
 // Layout: entries live in a dense slab of slots recycled through a free
-// list.  Each slot carries intrusive prev/next indices for two chains — its
-// class's LRU list and, while dirty, its class's dirty list — so
-// touch/insert/erase/lru_victim never allocate, and dirty_entries() walks
-// only dirty slots instead of the whole table.  The range indexes are
-// ordered maps whose nodes come from a per-table ChunkPool, so steady-state
-// insert/erase churn recycles nodes instead of hitting the global
-// allocator.  The *_into query variants fill caller-owned vectors (pool
-// leases in IBridgeCache), completing the allocation-free serve path.
+// list.  An EntryId is a generational slot handle (generation << 32 | slot;
+// a slot's generation starts at 1 and is bumped each time the slot is
+// freed), so contains/get/touch/mark_*/erase index the slab directly and a
+// stale id never aliases the slot's next tenant.  Each slot carries
+// intrusive prev/next indices for its class's LRU list, so touch, insert,
+// erase and lru_victim never allocate.  Three SortedBlocks indexes map keys
+// to slots: (file, offset) over every entry, log offset over every entry,
+// and (file, offset) over dirty entries only, so dirty_entries() walks just
+// the prefix it returns.  Their block storage grows on demand and is
+// recycled through a free list.  The *_into query variants fill
+// caller-owned vectors (pool leases in IBridgeCache), completing the
+// allocation-free serve path.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/sorted_blocks.hpp"
 #include "fsim/filesystem.hpp"
-#include "sim/mem_pool.hpp"
 #include "sim/units.hpp"
 
 namespace ibridge::core {
@@ -51,6 +52,8 @@ inline const char* to_string(CacheClass c) {
   return c == CacheClass::kRegular ? "regular" : "fragment";
 }
 
+/// generation << 32 | slot (see the layout note above).  Generations start
+/// at 1, so no live id equals kNoEntry.
 using EntryId = std::uint64_t;
 inline constexpr EntryId kNoEntry = 0;
 
@@ -77,16 +80,10 @@ struct LogSlice {
 
 class MappingTable {
  public:
-  MappingTable();
-  // The range indexes allocate from the table's own arena; moving or
-  // copying would carry dangling allocator pointers.
-  MappingTable(const MappingTable&) = delete;
-  MappingTable& operator=(const MappingTable&) = delete;
-
-  /// Pre-size the slab, hash index, and dirty scratch for `entries` live
-  /// entries so steady-state insert/erase churn below that mark never grows
-  /// them.  (The ordered range indexes already recycle nodes through the
-  /// table's ChunkPool arena.)  Callers size this from the SSD log capacity:
+  /// Pre-size the slab for `entries` live entries so steady-state
+  /// insert/erase churn below that mark never grows it.  The indexes'
+  /// block storage is not reserved: it grows with the live set and
+  /// recycles emptied blocks.  Callers size this from the SSD log capacity:
   /// capacity / smallest admitted range is a hard ceiling on live entries.
   void reserve(std::size_t entries);
 
@@ -98,7 +95,11 @@ class MappingTable {
   CacheEntry erase(EntryId id);
 
   const CacheEntry& get(EntryId id) const;
-  bool contains(EntryId id) const { return entries_.count(id) != 0; }
+  bool contains(EntryId id) const {
+    const auto s = static_cast<std::uint32_t>(id);
+    return s < slab_.size() && slab_[s].live &&
+           slab_[s].gen == static_cast<std::uint32_t>(id >> 32);
+  }
 
   /// Mark an entry clean (after write-back).
   void mark_clean(EntryId id);
@@ -145,7 +146,7 @@ class MappingTable {
 
   /// Dirty entries in file/offset order up to `max_bytes` total (used by
   /// the write-back daemon to build coalescable batches).  Walks only the
-  /// intrusive dirty lists, never clean entries.
+  /// returned prefix of the dirty index, never clean entries.
   void dirty_entries_into(Bytes max_bytes, std::vector<EntryId>& out) const;
   std::vector<EntryId> dirty_entries(Bytes max_bytes) const;
 
@@ -169,7 +170,7 @@ class MappingTable {
   Bytes bytes_cached(CacheClass c) const { return bytes_[idx(c)]; }
   Bytes bytes_cached() const { return bytes_[0] + bytes_[1]; }
   Bytes dirty_bytes() const { return dirty_bytes_; }
-  std::size_t entry_count() const { return entries_.size(); }
+  std::size_t entry_count() const { return lru_[0].size + lru_[1].size; }
   std::size_t entry_count(CacheClass c) const { return lru_[idx(c)].size; }
   double return_sum(CacheClass c) const { return ret_sum_[idx(c)]; }
   double return_avg(CacheClass c) const {
@@ -179,18 +180,13 @@ class MappingTable {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  // The two intrusive chains every slot participates in.
-  enum : int { kLruChain = 0, kDirtyChain = 1 };
-
-  struct Links {
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-  };
 
   struct Slot {
     CacheEntry entry;
-    EntryId id = kNoEntry;  // kNoEntry while the slot sits on the free list
-    Links link[2];          // [kLruChain] doubles as the free-list link
+    std::uint32_t gen = 1;  // generation of the id held now or handed out next
+    bool live = false;
+    std::uint32_t prev = kNil;  // LRU chain
+    std::uint32_t next = kNil;  // LRU chain; the free-list link while free
   };
 
   struct ListHead {
@@ -199,49 +195,33 @@ class MappingTable {
     std::size_t size = 0;
   };
 
+  // Entries of a file never overlap, so (file, first offset) orders them
+  // uniquely; log ranges never overlap either.
   using FileKey = std::pair<fsim::FileId, Offset>;
-  using EntriesMap =
-      std::unordered_map<EntryId, std::uint32_t, std::hash<EntryId>,
-                         std::equal_to<EntryId>,
-                         sim::PoolAllocator<std::pair<const EntryId,
-                                                      std::uint32_t>>>;
-  using ByFileMap =
-      std::map<FileKey, EntryId, std::less<FileKey>,
-               sim::PoolAllocator<std::pair<const FileKey, EntryId>>>;
-  using ByLogMap =
-      std::map<Offset, EntryId, std::less<Offset>,
-               sim::PoolAllocator<std::pair<const Offset, EntryId>>>;
 
   static int idx(CacheClass c) { return static_cast<int>(c); }
 
+  EntryId id_of(std::uint32_t s) const {
+    return (EntryId{slab_[s].gen} << 32) | s;
+  }
   std::uint32_t slot_of(EntryId id) const;
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
-  void list_push_back(int chain, ListHead& h, std::uint32_t s);
-  void list_unlink(int chain, ListHead& h, std::uint32_t s);
+  void list_push_back(ListHead& h, std::uint32_t s);
+  void list_unlink(ListHead& h, std::uint32_t s);
 
-  void index_insert(EntryId id, const CacheEntry& e);
-  void index_erase(EntryId id, const CacheEntry& e);
   void account_add(const CacheEntry& e);
   void account_remove(const CacheEntry& e);
 
-  // Node arena for the maps below; must outlive (so precede) all of them.
-  sim::ChunkPool arena_;
   std::vector<Slot> slab_;
   std::uint32_t free_head_ = kNil;
-  EntriesMap entries_;  // id -> slot index; never iterated
-  // Range index over (file, first file offset) -> entry id.  Entries never
-  // overlap, so the key uniquely orders them per file.
-  ByFileMap by_file_;
-  // Log-offset index (entries' log ranges never overlap).
-  ByLogMap by_log_;
+  SortedBlocks<FileKey> by_file_;
+  SortedBlocks<Offset> by_log_;
+  SortedBlocks<FileKey> dirty_;  // dirty entries only
   ListHead lru_[kNumClasses];    // front = LRU, back = MRU
-  ListHead dirty_[kNumClasses];  // insertion-ordered; queries sort by range
-  mutable std::vector<std::uint32_t> dirty_scratch_;
   Bytes bytes_[kNumClasses];
   double ret_sum_[kNumClasses] = {0.0, 0.0};
   Bytes dirty_bytes_;
-  EntryId next_id_ = 1;
 };
 
 }  // namespace ibridge::core

@@ -3,10 +3,10 @@
 // Two users, one mechanism:
 //
 //   * sim::PoolAllocator<T> — a std-allocator adapter over a ChunkPool, for
-//     node-based containers on hot paths (core::MappingTable's range
-//     indexes, core::SsdLog's live-bytes victim index).  Nodes freed by an
-//     erase are recycled by the next insert, so steady-state churn never
-//     touches the global allocator.
+//     node-based containers on hot paths (core::SsdLog's live-bytes victim
+//     index, storage::CfqScheduler's queues, sim::SimPromise shared state).
+//     Nodes freed by an erase are recycled by the next insert, so
+//     steady-state churn never touches the global allocator.
 //   * frame_pool() — a thread-local ChunkPool behind sim::Task's promise
 //     operator new/delete, so the coroutine chain client -> server -> cache
 //     -> fsim reuses its frames instead of paying one heap round-trip per

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -249,6 +251,37 @@ TEST(MappingTable, MultipleFilesAreIsolated) {
   EXPECT_EQ(t.overlapping(kG, off(0), len(10)).size(), 1u);
 }
 
+TEST(MappingTable, StaleIdNeverAliasesReusedSlot) {
+  MappingTable t;
+  const auto slot = [](EntryId id) { return static_cast<std::uint32_t>(id); };
+  const EntryId a = t.insert(entry(0, 100, 0, true));
+  const EntryId b = t.insert(entry(1000, 300, 100));
+  std::set<EntryId> seen = {a, b};
+  t.erase(a);
+  // An interior cut: b's two remainders are inserted under new ids.
+  std::vector<std::pair<Offset, Bytes>> freed;
+  t.trim(b, off(1100), len(100), freed);
+  ASSERT_EQ(freed.size(), 1u);
+  bool reused_a = false;
+  bool reused_b = false;
+  for (const EntryId id : t.all_entries()) {
+    EXPECT_TRUE(seen.insert(id).second) << "id " << id << " handed out twice";
+    reused_a = reused_a || slot(id) == slot(a);
+    reused_b = reused_b || slot(id) == slot(b);
+  }
+  for (int i = 0; !(reused_a && reused_b); ++i) {
+    ASSERT_LT(i, 16) << "freed slots never reused";
+    const EntryId id = t.insert(entry(5000 + 200 * i, 100, 1000 + 100 * i));
+    EXPECT_TRUE(seen.insert(id).second) << "id " << id << " handed out twice";
+    reused_a = reused_a || slot(id) == slot(a);
+    reused_b = reused_b || slot(id) == slot(b);
+  }
+  EXPECT_FALSE(t.contains(a));
+  EXPECT_FALSE(t.contains(b));
+  EXPECT_FALSE(t.contains(kNoEntry));
+  for (const EntryId id : t.all_entries()) EXPECT_TRUE(t.contains(id));
+}
+
 // ------------------------------------------------- persistence / recovery ----
 
 TEST(MappingTable, SaveLoadRoundTripsEntriesAndLru) {
@@ -383,8 +416,10 @@ TEST(MappingTableRecovery, MidWorkloadPersistReopenAgreesWithLog) {
 // ------------------------- reference-model equivalence oracle -------------
 // A deliberately naive mapping table — flat vectors, O(n) scans, explicit
 // LRU vectors — that serves as the executable spec the slab-based
-// MappingTable must match op for op and id for id.  The randomized driver
-// below runs both side by side through the full mutation surface.
+// MappingTable must match op for op.  The reference numbers its entries 1,
+// 2, 3, ...; the table's ids are slot handles, so the randomized test
+// below translates every reference id to the table id of the same entry
+// while it runs both side by side through the full mutation surface.
 
 struct RefTable {
   struct Rec {
@@ -394,6 +429,7 @@ struct RefTable {
   std::vector<Rec> recs;                  // insertion order
   std::vector<EntryId> lru[kNumClasses];  // front = LRU, back = MRU
   EntryId next_id = 1;
+  std::vector<EntryId> fresh;  // ids handed out since the test bound them
 
   static int idx(CacheClass c) { return static_cast<int>(c); }
 
@@ -408,6 +444,7 @@ struct RefTable {
     const EntryId id = next_id++;
     recs.push_back({id, e});
     lru[idx(e.klass)].push_back(id);
+    fresh.push_back(id);
     return id;
   }
 
@@ -577,6 +614,33 @@ TEST(MappingTableEquivalence, MatchesNaiveReferenceUnderRandomChurn) {
     return ref.recs[static_cast<std::size_t>(rng.below(ref.recs.size()))].id;
   };
 
+  // Reference id -> table id, filled at each insert; every table id must be
+  // new (an id handed out twice would alias a stale handle).
+  std::map<EntryId, EntryId> to_t;
+  std::set<EntryId> seen;
+  const auto bind = [&](EntryId ref_id, EntryId t_id) {
+    EXPECT_TRUE(seen.insert(t_id).second)
+        << "table id " << t_id << " handed out twice";
+    to_t[ref_id] = t_id;
+  };
+  // Bind the reference's trim remainders to the table entries at the same
+  // place (entries never overlap, so the range names exactly one).
+  const auto bind_fresh = [&] {
+    for (const EntryId ref_id : ref.fresh) {
+      const CacheEntry& e = ref.rec(ref_id).e;
+      const auto ids = t.overlapping(e.file, e.file_off, e.length);
+      ASSERT_EQ(ids.size(), 1u);
+      expect_entry_eq(t.get(ids[0]), e);
+      bind(ref_id, ids[0]);
+    }
+    ref.fresh.clear();
+  };
+  const auto tr = [&](const std::vector<EntryId>& ref_ids) {
+    std::vector<EntryId> out;
+    for (const EntryId id : ref_ids) out.push_back(to_t.at(id));
+    return out;
+  };
+
   for (int step = 0; step < 3000; ++step) {
     const auto op = rng.below(100);
     if (op < 35) {
@@ -589,35 +653,40 @@ TEST(MappingTableEquivalence, MatchesNaiveReferenceUnderRandomChurn) {
       e.ret_ms = 0.125 * static_cast<double>(rng.below(64));
       if (!ref.overlapping(e.file, e.file_off, e.length).empty()) continue;
       next_log += e.length.count();
-      ASSERT_EQ(t.insert(e), ref.insert(e)) << "step " << step;
+      const EntryId t_id = t.insert(e);
+      bind(ref.insert(e), t_id);
+      ref.fresh.clear();
     } else if (op < 50) {
       const auto f = rand_file();
       Offset o;
       Bytes l;
       rand_range(o, l);
-      const auto got = t.overlapping(f, o, l);
-      ASSERT_EQ(got, ref.overlapping(f, o, l)) << "step " << step;
+      const auto want = ref.overlapping(f, o, l);
+      ASSERT_EQ(t.overlapping(f, o, l), tr(want)) << "step " << step;
       std::vector<std::pair<Offset, Bytes>> freed_t, freed_r;
-      for (const EntryId id : got) {
-        t.trim(id, o, l, freed_t);
+      for (const EntryId id : want) {
+        t.trim(to_t.at(id), o, l, freed_t);
         ref.trim(id, o, l, freed_r);
+        EXPECT_FALSE(t.contains(to_t.at(id))) << "step " << step;
       }
       ASSERT_EQ(freed_t, freed_r) << "step " << step;
+      bind_fresh();
     } else if (op < 60 && !ref.recs.empty()) {
       const EntryId id = rand_id();
-      t.touch(id);
+      t.touch(to_t.at(id));
       ref.touch(id);
     } else if (op < 68 && !ref.recs.empty()) {
       const EntryId id = rand_id();
-      const CacheEntry got = t.erase(id);
+      const CacheEntry got = t.erase(to_t.at(id));
       expect_entry_eq(got, ref.erase(id));
+      EXPECT_FALSE(t.contains(to_t.at(id))) << "step " << step;
     } else if (op < 76 && !ref.recs.empty()) {
       const EntryId id = rand_id();
       const bool dirty = rng.chance(0.5);
       if (dirty) {
-        t.mark_dirty(id);
+        t.mark_dirty(to_t.at(id));
       } else {
-        t.mark_clean(id);
+        t.mark_clean(to_t.at(id));
       }
       ref.set_dirty(id, dirty);
     } else if (op < 84) {
@@ -625,21 +694,23 @@ TEST(MappingTableEquivalence, MatchesNaiveReferenceUnderRandomChurn) {
       Offset o;
       Bytes l;
       rand_range(o, l);
-      expect_slices_eq(t.coverage(f, o, l), ref.coverage(f, o, l));
+      auto want = ref.coverage(f, o, l);
+      for (LogSlice& sl : want) sl.entry = to_t.at(sl.entry);
+      expect_slices_eq(t.coverage(f, o, l), want);
     } else if (op < 90) {
       const Bytes budget =
           len((1 + static_cast<std::int64_t>(rng.below(12))) * kSlot);
-      ASSERT_EQ(t.dirty_entries(budget), ref.dirty_entries(budget))
+      ASSERT_EQ(t.dirty_entries(budget), tr(ref.dirty_entries(budget)))
           << "step " << step;
     } else if (op < 96) {
       const Offset b = off(static_cast<std::int64_t>(rng.below(512)) * kSlot);
       const Offset e2 =
           b + len((1 + static_cast<std::int64_t>(rng.below(32))) * kSlot);
-      ASSERT_EQ(t.entries_in_log_range(b, e2), ref.in_log_range(b, e2))
+      ASSERT_EQ(t.entries_in_log_range(b, e2), tr(ref.in_log_range(b, e2)))
           << "step " << step;
     } else {
       for (const CacheClass c : {CacheClass::kRegular, CacheClass::kFragment}) {
-        ASSERT_EQ(t.lru_order(c), ref.lru[RefTable::idx(c)])
+        ASSERT_EQ(t.lru_order(c), tr(ref.lru[RefTable::idx(c)]))
             << "step " << step;
         ASSERT_EQ(t.bytes_cached(c), ref.bytes_cached(c)) << "step " << step;
         ASSERT_EQ(t.entry_count(c), ref.lru[RefTable::idx(c)].size());
