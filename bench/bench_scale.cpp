@@ -2,9 +2,9 @@
 //
 // Sweeps the cluster from 8 servers / 10^3 ranks to 512 servers / 10^5
 // ranks (default) and 512 / 10^6 (--full), with every rank drawing its
-// requests on demand from a per-rank exp::WorkloadStream — no materialized
-// request list anywhere, so the workload's memory footprint is O(ranks),
-// not O(requests).  Servers fold onto a bounded shard-group fleet
+// requests on demand from a per-rank workloads::WorkloadStream — no
+// materialized request list anywhere, so the workload's memory footprint is
+// O(ranks), not O(requests).  Servers fold onto a bounded shard-group fleet
 // (shard_group_size) with adaptive lookahead, so simulator state stays
 // bounded while the modeled cluster grows 1000x.
 //
@@ -35,7 +35,6 @@
 #include "cluster/cluster.hpp"
 #include "exp/cli.hpp"
 #include "exp/gauge.hpp"
-#include "exp/workload_stream.hpp"
 #include "mpiio/mpi.hpp"
 #include "workloads/trace.hpp"
 
@@ -143,12 +142,12 @@ struct Shared {
 ibridge::sim::Task<> rank_body(ibridge::mpiio::MpiContext ctx,
                                ibridge::mpiio::MpiFile file, Shared* shared,
                                int reqs) {
-  ibridge::exp::WorkloadStream stream =
+  ibridge::workloads::WorkloadStream stream =
       wl::TraceSynthesizer(wl::alegra_2744_profile())
           .stream(kFileBytes, 0x5ca1eULL ^ static_cast<std::uint64_t>(
                                                ctx.rank() * 2654435761ULL));
   for (int k = 0; k < reqs; ++k) {
-    const ibridge::exp::StreamRecord r = stream.next();
+    const wl::TraceRecord r = stream.next();
     std::int64_t off = r.offset;
     std::int64_t size = std::min<std::int64_t>(r.size, kFileBytes);
     if (off + size > kFileBytes) off = kFileBytes - size;

@@ -4,10 +4,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
-#include <map>
-#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -722,7 +719,7 @@ class FileIndexer {
     out_.allocs.push_back(std::move(a));
   }
 
-  /// Resolves `// lint: no-alloc` / `shard-owned` / `shared-ok` comments
+  /// Resolves `// lint: no-alloc` / `shared-ok` comments
   /// against the symbols recorded for this file.  The annotation applies to
   /// a declaration on its own line or the line directly below.
   void attach_annotations() {
@@ -735,15 +732,10 @@ class FileIndexer {
             fn.no_alloc = true;
           }
         }
-      } else if (a.key == "shard-owned" || a.key == "shared-ok") {
+      } else if (a.key == "shared-ok") {
         for (VarSym& v : out_.vars) {
           if (v.file == f_.rel && (v.line == a.line || v.line == a.line + 1)) {
-            if (a.key == "shard-owned") {
-              v.owner_declared = true;
-              v.owner = a.payload;
-            } else {
-              v.shared_ok = true;
-            }
+            v.shared_ok = true;
           }
         }
       }
@@ -760,52 +752,6 @@ std::string trim(const std::string& s) {
   if (b == std::string::npos) return "";
   const auto e = s.find_last_not_of(" \t");
   return s.substr(b, e - b + 1);
-}
-
-const char* var_kind_name(VarKind k) {
-  switch (k) {
-    case VarKind::kGlobal: return "global";
-    case VarKind::kClassStatic: return "class-static";
-    case VarKind::kFunctionStatic: return "static-local";
-    case VarKind::kThreadLocal: return "thread-local";
-  }
-  return "global";
-}
-
-std::optional<VarKind> var_kind_of(const std::string& s) {
-  if (s == "global") return VarKind::kGlobal;
-  if (s == "class-static") return VarKind::kClassStatic;
-  if (s == "static-local") return VarKind::kFunctionStatic;
-  if (s == "thread-local") return VarKind::kThreadLocal;
-  return std::nullopt;
-}
-
-const char* alloc_kind_name(AllocKind k) {
-  switch (k) {
-    case AllocKind::kNew: return "new";
-    case AllocKind::kOperatorNew: return "operator-new";
-    case AllocKind::kMakeSmart: return "make-smart";
-    case AllocKind::kCAlloc: return "c-alloc";
-    case AllocKind::kGrowth: return "growth";
-  }
-  return "new";
-}
-
-std::optional<AllocKind> alloc_kind_of(const std::string& s) {
-  if (s == "new") return AllocKind::kNew;
-  if (s == "operator-new") return AllocKind::kOperatorNew;
-  if (s == "make-smart") return AllocKind::kMakeSmart;
-  if (s == "c-alloc") return AllocKind::kCAlloc;
-  if (s == "growth") return AllocKind::kGrowth;
-  return std::nullopt;
-}
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string w;
-  while (in >> w) out.push_back(w);
-  return out;
 }
 
 }  // namespace
@@ -852,145 +798,6 @@ Index build_index(const std::vector<SourceFile>& files) {
     FileIndexer(f, idx).run();
   }
   std::sort(idx.classes.begin(), idx.classes.end());
-  return idx;
-}
-
-std::string serialize_index(const Index& index) {
-  std::ostringstream out;
-  out << "ibridge-lint-index-v1\n";
-  for (std::size_t i = 0; i < index.files.size(); ++i) {
-    out << "file " << index.files[i] << " "
-        << (i < index.modules.size() && !index.modules[i].empty()
-                ? index.modules[i]
-                : "-")
-        << "\n";
-  }
-  for (const auto& [from, tos] : index.includes) {
-    for (const std::string& to : tos) {
-      out << "include " << from << " " << to << "\n";
-    }
-  }
-  for (const std::string& c : index.classes) out << "class " << c << "\n";
-  for (const FunctionSym& fn : index.functions) {
-    out << "func " << (fn.qualified().empty() ? "-" : fn.qualified()) << " "
-        << fn.file << ":" << fn.line << " body=" << fn.body_begin << ","
-        << fn.body_end << (fn.in_class ? " method" : " free")
-        << (fn.no_alloc ? " no-alloc" : "") << "\n";
-  }
-  for (const VarSym& v : index.vars) {
-    out << "var " << v.qualified() << " " << v.file << ":" << v.line
-        << " kind=" << var_kind_name(v.kind) << (v.is_const ? " const" : "");
-    if (v.owner_declared) {
-      out << " owner=" << (v.owner.empty() ? "-" : v.owner);
-    }
-    if (v.shared_ok) out << " shared-ok";
-    out << "\n";
-  }
-  for (const CallSite& c : index.calls) {
-    out << "call " << c.caller << " " << c.callee << " "
-        << (c.qual.empty() ? "-" : c.qual) << (c.member ? " member" : " plain")
-        << " :" << c.line << "\n";
-  }
-  for (const AllocSite& a : index.allocs) {
-    out << "alloc " << a.caller << " " << alloc_kind_name(a.kind) << " "
-        << a.what << " :" << a.line << "\n";
-  }
-  return out.str();
-}
-
-std::optional<Index> parse_index(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "ibridge-lint-index-v1") {
-    return std::nullopt;
-  }
-  Index idx;
-  auto split_loc = [](const std::string& s, std::string& file, int& ln) {
-    const auto colon = s.rfind(':');
-    if (colon == std::string::npos) return false;
-    file = s.substr(0, colon);
-    ln = std::atoi(s.c_str() + colon + 1);
-    return true;
-  };
-  auto split_qual = [](const std::string& q, std::string& scope,
-                       std::string& name) {
-    // Split at the last "::" that is not inside an operator name.
-    const auto pos = q.rfind("::");
-    if (pos == std::string::npos || q.compare(0, 8, "operator") == 0) {
-      scope = "";
-      name = q;
-      return;
-    }
-    scope = q.substr(0, pos);
-    name = q.substr(pos + 2);
-    // "A::operator::" style names cannot occur: operator tokens are
-    // concatenated without "::".
-  };
-  while (std::getline(in, line)) {
-    const auto w = split_ws(line);
-    if (w.empty()) continue;
-    if (w[0] == "file" && w.size() >= 3) {
-      idx.files.push_back(w[1]);
-      idx.modules.push_back(w[2] == "-" ? "" : w[2]);
-    } else if (w[0] == "include" && w.size() >= 3) {
-      idx.includes[w[1]].insert(w[2]);
-    } else if (w[0] == "class" && w.size() >= 2) {
-      idx.classes.push_back(w[1]);
-    } else if (w[0] == "func" && w.size() >= 5) {
-      FunctionSym fn;
-      split_qual(w[1] == "-" ? "" : w[1], fn.scope, fn.name);
-      if (!split_loc(w[2], fn.file, fn.line)) return std::nullopt;
-      if (w[3].compare(0, 5, "body=") != 0) return std::nullopt;
-      const std::string range = w[3].substr(5);
-      const auto comma = range.find(',');
-      if (comma == std::string::npos) return std::nullopt;
-      fn.body_begin = static_cast<std::size_t>(
-          std::atoll(range.substr(0, comma).c_str()));
-      fn.body_end =
-          static_cast<std::size_t>(std::atoll(range.c_str() + comma + 1));
-      fn.in_class = w[4] == "method";
-      for (std::size_t k = 5; k < w.size(); ++k) {
-        if (w[k] == "no-alloc") fn.no_alloc = true;
-      }
-      idx.functions.push_back(std::move(fn));
-    } else if (w[0] == "var" && w.size() >= 4) {
-      VarSym v;
-      split_qual(w[1], v.scope, v.name);
-      if (!split_loc(w[2], v.file, v.line)) return std::nullopt;
-      if (w[3].compare(0, 5, "kind=") != 0) return std::nullopt;
-      const auto k = var_kind_of(w[3].substr(5));
-      if (!k) return std::nullopt;
-      v.kind = *k;
-      for (std::size_t p = 4; p < w.size(); ++p) {
-        if (w[p] == "const") v.is_const = true;
-        if (w[p] == "shared-ok") v.shared_ok = true;
-        if (w[p].compare(0, 6, "owner=") == 0) {
-          v.owner_declared = true;
-          v.owner = w[p].substr(6) == "-" ? "" : w[p].substr(6);
-        }
-      }
-      idx.vars.push_back(std::move(v));
-    } else if (w[0] == "call" && w.size() >= 5) {
-      CallSite c;
-      c.caller = std::atoi(w[1].c_str());
-      c.callee = w[2];
-      c.qual = w[3] == "-" ? "" : w[3];
-      c.member = w[4] == "member";
-      if (w.size() >= 6 && w[5][0] == ':') c.line = std::atoi(w[5].c_str() + 1);
-      idx.calls.push_back(std::move(c));
-    } else if (w[0] == "alloc" && w.size() >= 4) {
-      AllocSite a;
-      a.caller = std::atoi(w[1].c_str());
-      const auto k = alloc_kind_of(w[2]);
-      if (!k) return std::nullopt;
-      a.kind = *k;
-      a.what = w[3];
-      if (w.size() >= 5 && w[4][0] == ':') a.line = std::atoi(w[4].c_str() + 1);
-      idx.allocs.push_back(std::move(a));
-    } else {
-      return std::nullopt;
-    }
-  }
   return idx;
 }
 

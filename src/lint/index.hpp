@@ -10,22 +10,16 @@
 //     constructors/destructors and operators;
 //   * shared mutable state: namespace-scope variables, static data members,
 //     function-local `static`s and `thread_local`s, with their const-ness
-//     and any `// lint: shard-owned(<module>)` / `// lint: shared-ok
-//     (reason)` ownership annotations;
+//     and any `// lint: shared-ok (reason)` annotation;
 //   * call sites (callee name + access shape, for graph.{hpp,cpp} to
 //     resolve) and allocation sites (`new`, `operator new`, make_unique/
 //     make_shared, malloc-family, and container-growth member calls) inside
 //     each function body;
 //   * the resolved project #include edges.
-//
-// The index serializes to a deterministic line-based text format
-// ("ibridge-lint-index-v1", see serialize_index) that the tool writes via
-// --index-cache and CI uploads as an artifact; parse_index round-trips it.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,7 +29,7 @@
 namespace ibridge::lint {
 
 /// One parsed `lint:` comment: key plus the parenthesized payload (a reason
-/// for suppressions, the owner module for shard-owned, empty for no-alloc).
+/// for suppressions and shared-ok, empty for no-alloc).
 struct Annotation {
   int line = 0;
   std::string key;
@@ -60,11 +54,9 @@ struct VarSym {
   int line = 0;
   VarKind kind = VarKind::kGlobal;
   bool is_const = false;  ///< const/constexpr appeared in the decl-specifiers
-  /// Ownership annotations (resolved from the comment on the declaration
-  /// line or the line directly above):
-  bool owner_declared = false;  ///< a shard-owned(...) annotation is present
-  std::string owner;            ///< its module payload (may be empty)
-  bool shared_ok = false;       ///< a shared-ok (reason) annotation is present
+  /// A shared-ok (reason) annotation on the declaration line or the line
+  /// directly above.
+  bool shared_ok = false;
 
   std::string qualified() const {
     return scope.empty() ? name : scope + "::" + name;
@@ -130,15 +122,5 @@ struct Index {
 /// in the given order (lint_tree / load_tree sort them), and every list is
 /// emitted in scan order.
 Index build_index(const std::vector<SourceFile>& files);
-
-/// The index as "ibridge-lint-index-v1" text: one record per line, sorted
-/// where the source order is not already canonical.  Reasons/payloads are
-/// not serialized (they live in the source and the suppression audit), so
-/// serialize(parse(serialize(x))) == serialize(x) holds byte-for-byte.
-std::string serialize_index(const Index& index);
-
-/// Parses serialize_index output.  Returns nullopt on a malformed or
-/// wrong-version cache.
-std::optional<Index> parse_index(const std::string& text);
 
 }  // namespace ibridge::lint

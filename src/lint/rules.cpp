@@ -57,17 +57,15 @@ const std::map<std::string, std::set<std::string>>& layer_allowlist() {
 }
 
 /// Suppression key -> the rule it silences.  Rules absent from this table
-/// (rand, const-cast, layering) are hard bans with no escape hatch.
+/// (rand, const-cast, layering, unordered-iteration, sim-callback) are hard
+/// bans with no escape hatch.
 const std::map<std::string, std::string>& suppression_keys() {
   static const std::map<std::string, std::string> kKeys = {
       {"units-ok", "raw-unit-type"},
-      {"unordered-iteration-ok", "unordered-iteration"},
-      {"ordered-ok", "unordered-iteration"},
       {"include-ok", "include-what-you-use"},
       {"pointer-key-ok", "pointer-key"},
       {"rng-ok", "rng-construction"},
       {"wall-clock-ok", "wall-clock"},
-      {"callback-ok", "sim-callback"},
       {"alloc-ok", "no-alloc"},
       {"obs-bounded-ok", "obs-bounded"},
   };
@@ -78,8 +76,7 @@ const std::map<std::string, std::string>& suppression_keys() {
 /// are not suppressions of a same-line diagnostic, so the generic audit
 /// below skips them; semantic.cpp audits attachment and reasons instead.
 const std::set<std::string>& marker_keys() {
-  static const std::set<std::string> kMarkers = {"no-alloc", "shard-owned",
-                                                 "shared-ok"};
+  static const std::set<std::string> kMarkers = {"no-alloc", "shared-ok"};
   return kMarkers;
 }
 
@@ -498,8 +495,7 @@ void check_raw_unit_type(const SourceFile& f, Diags& out) {
 /// the simulator, re-introducing a heap round-trip per event plus a move
 /// through std::function's 16-byte SBO.  src/sim/ itself is exempt — it
 /// defines InlineEvent and legitimately uses std::function for non-event
-/// signatures.  Suppress with `// lint: callback-ok (reason)` for callables
-/// that never reach Simulator::schedule.
+/// signatures.  A hard ban: nothing outside src/sim/ needs an escape.
 void check_sim_callback(const SourceFile& f, Diags& out) {
   if (starts_with(f.rel, "src/sim/")) return;
   const auto& t = f.tokens;
@@ -621,7 +617,6 @@ const std::vector<RuleInfo>& rules() {
       {"lint-annotation", "suppressions need a known key and a reason"},
       {"shared-global", "no unannotated mutable globals or class statics"},
       {"static-local", "no unannotated static/thread_local function state"},
-      {"shard-ownership", "shard-owned state names its owner; only it writes"},
       {"no-alloc", "no allocation inside `no-alloc` annotated functions"},
       {"include-cycle", "the project include graph stays acyclic"},
   };

@@ -1,8 +1,7 @@
-// The shared-state / shard-safety analyzer and the static no-alloc zones.
+// The shared-state analyzer and the static no-alloc zones.
 // Everything here is cross-file: the per-file token rules live in rules.cpp.
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,13 +25,14 @@ bool blank(const std::string& s) {
 }
 
 /// shared-global / static-local: every piece of mutable state that outlives
-/// a single shard must carry an ownership verdict.  Scoped to src/ — tests,
-/// bench and tools are per-process driver code, not shard candidates.
+/// one simulation must say why sharing it is safe, because exp::Runner runs
+/// simulations on concurrent threads.  Scoped to src/ — tests, bench and
+/// tools are single-process entry points.
 void check_shared_state(const Index& idx, std::vector<Diagnostic>& out) {
   for (const VarSym& v : idx.vars) {
     if (v.is_const) continue;
     if (!starts_with(v.file, "src/")) continue;
-    if (v.owner_declared || v.shared_ok) continue;
+    if (v.shared_ok) continue;
     const bool local_like =
         v.kind == VarKind::kFunctionStatic || v.kind == VarKind::kThreadLocal;
     if (local_like) {
@@ -41,9 +41,8 @@ void check_shared_state(const Index& idx, std::vector<Diagnostic>& out) {
                              : "function-local static";
       report(out, v.file, v.line, "static-local",
              std::string(what) + " '" + v.name +
-                 "' is hidden mutable state no shard owns; hoist it into "
-                 "an owning object, or annotate "
-                 "shared-ok (reason) / shard-owned(<module>)");
+                 "' is hidden mutable state; hoist it into an owning object, "
+                 "or annotate shared-ok (reason)");
     } else {
       const char* what = v.kind == VarKind::kClassStatic
                              ? "static data member"
@@ -51,115 +50,7 @@ void check_shared_state(const Index& idx, std::vector<Diagnostic>& out) {
       report(out, v.file, v.line, "shared-global",
              std::string(what) + " '" + v.qualified() +
                  "' is mutable shared state; make it const, move it into an "
-                 "owning object, or annotate shard-owned(<module>) / "
-                 "shared-ok (reason)");
-    }
-  }
-}
-
-/// True when the identifier at `i` is written: plain or compound assignment,
-/// or pre/post increment/decrement.  `++`/`--`/`+=` lex as single-char
-/// puncts, so the shapes are checked token-by-token.
-bool is_write(const std::vector<Token>& t, std::size_t i) {
-  // Kind-checked: a string literal whose content is "=" must not look like
-  // an operator (the lexer strips quotes).
-  const auto text = [&](std::size_t j, const char* s) {
-    return j < t.size() && t[j].kind == TokKind::kPunct && t[j].text == s;
-  };
-  // name = ...   (but not == comparison, and not <=, >=, != at the left)
-  if (text(i + 1, "=") && !text(i + 2, "=")) {
-    if (i >= 1 && (text(i - 1, "=") || text(i - 1, "!") || text(i - 1, "<") ||
-                   text(i - 1, ">"))) {
-      return false;
-    }
-    return true;
-  }
-  // name += ... and friends.  `a - b = ...` is not valid C++, so this shape
-  // is always a compound assignment; `x + y == z` fails the != "=" check.
-  for (const char* op : {"+", "-", "*", "/", "%", "&", "|", "^"}) {
-    if (text(i + 1, op) && text(i + 2, "=") && !text(i + 3, "=")) return true;
-  }
-  // ++name / name++ (and --): `++` lexes as two '+' puncts.
-  if (i >= 2 && text(i - 1, "+") && text(i - 2, "+")) return true;
-  if (i >= 2 && text(i - 1, "-") && text(i - 2, "-")) return true;
-  if (text(i + 1, "+") && text(i + 2, "+")) return true;
-  if (text(i + 1, "-") && text(i + 2, "-")) return true;
-  return false;
-}
-
-/// Member-function names that mutate the receiver.  A call to one of these
-/// through a shard-owned symbol is a write for ownership purposes: foreign
-/// modules must route such mutations through the owner (for the parallel
-/// core that means a ShardGroup::post into the owner's mailbox, merged at
-/// the window barrier) instead of reaching across shards directly.
-bool is_mutating_method(const std::string& name) {
-  static const std::set<std::string> kMutators = {
-      "push_back", "emplace_back", "pop_back", "push", "pop",  "emplace",
-      "insert",    "erase",        "clear",    "resize", "assign", "reset",
-      "store",     "exchange",     "fetch_add", "fetch_sub", "swap"};
-  return kMutators.count(name) != 0;
-}
-
-/// shard-ownership: shard-owned(<module>) declares a single writer module.
-/// An empty owner is an error (the missing-ownership fixture); flagged as
-/// foreign writes are both direct stores (assignment, ++/--) and mutating
-/// method calls (`owned.push_back(...)`, `owned->reset(...)`) to the
-/// variable's name from any other src/ module.  Matching is by name —
-/// over-approximate, with shared-ok as the documented escape.
-void check_shard_ownership(const std::vector<SourceFile>& files,
-                           const Index& idx, std::vector<Diagnostic>& out) {
-  struct Owned {
-    const VarSym* var;
-  };
-  std::map<std::string, std::vector<Owned>> owned_by_name;
-  for (const VarSym& v : idx.vars) {
-    if (!v.owner_declared) continue;
-    if (blank(v.owner)) {
-      report(out, v.file, v.line, "shard-ownership",
-             "shard-owned annotation on '" + v.qualified() +
-                 "' is missing its (<module>) owner");
-      continue;
-    }
-    owned_by_name[v.name].push_back(Owned{&v});
-  }
-  if (owned_by_name.empty()) return;
-
-  for (const SourceFile& f : files) {
-    if (!starts_with(f.rel, "src/")) continue;
-    for (std::size_t i = 0; i < f.tokens.size(); ++i) {
-      const Token& tok = f.tokens[i];
-      if (tok.kind != TokKind::kIdent) continue;
-      const auto it = owned_by_name.find(tok.text);
-      if (it == owned_by_name.end()) continue;
-
-      // Direct store, or a mutating method call on the symbol:
-      //   name . method (        name - > method (
-      const auto t = [&](std::size_t k, const char* s) {
-        return k < f.tokens.size() && f.tokens[k].kind == TokKind::kPunct &&
-               f.tokens[k].text == s;
-      };
-      const auto meth = [&](std::size_t k) {
-        return k + 1 < f.tokens.size() &&
-               f.tokens[k].kind == TokKind::kIdent &&
-               is_mutating_method(f.tokens[k].text) && t(k + 1, "(");
-      };
-      const bool mutating_call =
-          (t(i + 1, ".") && meth(i + 2)) ||
-          (t(i + 1, "-") && t(i + 2, ">") && meth(i + 3));
-      if (!is_write(f.tokens, i) && !mutating_call) continue;
-
-      for (const Owned& o : it->second) {
-        if (f.module == o.var->owner) continue;
-        // The declaration's own initializer is not a foreign write.
-        if (f.rel == o.var->file && tok.line == o.var->line) continue;
-        report(out, f.rel, tok.line, "shard-ownership",
-               std::string(mutating_call ? "mutating call on '"
-                                         : "write to '") +
-                   o.var->qualified() + "' (shard-owned(" + o.var->owner +
-                   ")) from module '" + f.module +
-                   "'; route the mutation through the owning module (post "
-                   "into its shard mailbox)");
-      }
+                 "owning object, or annotate shared-ok (reason)");
     }
   }
 }
@@ -238,7 +129,7 @@ void check_include_cycles(const std::vector<SourceFile>& files,
 }
 
 /// lint-annotation audit for the marker keys the semantic pass owns.  The
-/// generic suppression audit in rules.cpp skips these three keys; here we
+/// generic suppression audit in rules.cpp skips these two keys; here we
 /// verify each marker actually attaches to a symbol, and that shared-ok
 /// carries its mandatory reason.
 void check_markers(const std::vector<SourceFile>& files, const Index& idx,
@@ -260,7 +151,7 @@ void check_markers(const std::vector<SourceFile>& files, const Index& idx,
                  "the next line (annotate the definition, not a "
                  "declaration)");
         }
-      } else if (a.key == "shard-owned" || a.key == "shared-ok") {
+      } else if (a.key == "shared-ok") {
         bool attached = false;
         for (const VarSym& v : idx.vars) {
           if (v.file == f.rel && (v.line == a.line || v.line == a.line + 1)) {
@@ -270,10 +161,9 @@ void check_markers(const std::vector<SourceFile>& files, const Index& idx,
         }
         if (!attached) {
           report(out, f.rel, a.line, "lint-annotation",
-                 "'" + a.key +
-                     "' marker matches no shared-state declaration on this "
-                     "or the next line; delete it");
-        } else if (a.key == "shared-ok" && blank(a.payload)) {
+                 "'shared-ok' marker matches no shared-state declaration on "
+                 "this or the next line; delete it");
+        } else if (blank(a.payload)) {
           report(out, f.rel, a.line, "lint-annotation",
                  "shared-ok is missing its mandatory (reason)");
         }
@@ -289,7 +179,6 @@ void run_semantic_pass(const std::vector<SourceFile>& files, const Index& idx,
   const CallGraph graph = resolve_calls(idx);
   const std::vector<AllocFact> facts = compute_alloc_facts(idx, graph);
   check_shared_state(idx, out);
-  check_shard_ownership(files, idx, out);
   check_no_alloc(idx, graph, facts, out);
   check_include_cycles(files, idx, out);
   check_markers(files, idx, out);

@@ -1,4 +1,4 @@
-// The project-wide semantic pass: shared-state / shard-safety analysis and
+// The project-wide semantic pass: shared-state analysis and
 // static no-alloc zones, built on the symbol index (index.hpp) and the
 // include/call graphs (graph.hpp).
 #pragma once
@@ -12,19 +12,17 @@ namespace ibridge::lint {
 
 /// Appends the cross-file semantic diagnostics for the corpus:
 ///
-///   shared-global   — mutable namespace-scope / class-static state in src/
-///                     without a shard-owned / shared-ok annotation
-///   static-local    — mutable function-local static or thread_local state
-///                     in src/ without a shared-ok annotation
-///   shard-ownership — shard-owned annotations missing their owner module,
-///                     and writes to shard-owned state from other modules
-///   no-alloc        — allocation sites and may-allocate calls inside
-///                     functions annotated `// lint: no-alloc`
-///   include-cycle   — cycles in the project #include graph
+///   shared-global — mutable namespace-scope / class-static state in src/
+///                   without a shared-ok annotation
+///   static-local  — mutable function-local static or thread_local state
+///                   in src/ without a shared-ok annotation
+///   no-alloc      — allocation sites and may-allocate calls inside
+///                   functions annotated `// lint: no-alloc`
+///   include-cycle — cycles in the project #include graph
 ///
-/// plus lint-annotation audits for the three marker keys (no-alloc,
-/// shard-owned, shared-ok): a marker that attaches to no symbol, or a
-/// shared-ok without its mandatory reason, is itself an error.
+/// plus lint-annotation audits for the two marker keys (no-alloc,
+/// shared-ok): a marker that attaches to no symbol, or a shared-ok without
+/// its mandatory reason, is itself an error.
 ///
 /// `idx` must be build_index(files).  Suppression filtering (alloc-ok) is
 /// the caller's job — lint_corpus applies it per file, exactly as for the

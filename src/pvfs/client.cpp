@@ -1,11 +1,28 @@
 #include "pvfs/client.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ibridge::pvfs {
 
 using storage::IoDirection;
+
+namespace {
+
+/// Checked in read_at/write_at before request() starts: a throw inside the
+/// request coroutine would terminate the process instead of reaching the
+/// caller.
+void require_positive_length(std::int64_t length) {
+  if (length <= 0) {
+    throw std::invalid_argument(
+        "pvfs::Client: request length must be positive, got " +
+        std::to_string(length));
+  }
+}
+
+}  // namespace
 
 Client::Client(sim::Simulator& sim, MetadataServer& mds,
                std::vector<DataServer*> servers, net::NetworkModel& net,
@@ -30,6 +47,7 @@ sim::Task<sim::SimTime> Client::read_at(int rank, FileHandle fh,
                                         std::int64_t offset,
                                         std::int64_t length,
                                         std::span<std::byte> data) {
+  require_positive_length(length);
   return request(rank, fh, offset, length, IoDirection::kRead, {}, data);
 }
 
@@ -37,6 +55,7 @@ sim::Task<sim::SimTime> Client::write_at(int rank, FileHandle fh,
                                          std::int64_t offset,
                                          std::int64_t length,
                                          std::span<const std::byte> data) {
+  require_positive_length(length);
   return request(rank, fh, offset, length, IoDirection::kWrite, data, {});
 }
 

@@ -49,7 +49,8 @@ class Client {
          std::vector<net::Nic*> node_nics, ClientConfig cfg = {});
 
   /// Synchronous request from `rank`: completes when the slowest
-  /// sub-request completes.  Returns the request's service time.
+  /// sub-request completes.  Returns the request's service time.  Throws
+  /// std::invalid_argument when `length` is not positive.
   sim::Task<sim::SimTime> read_at(int rank, FileHandle fh, std::int64_t offset,
                                   std::int64_t length,
                                   std::span<std::byte> data = {});

@@ -41,8 +41,8 @@ class InlineEvent {
   static constexpr std::size_t kInlineBytes = 48;
 
   /// True when a callable of type F is stored in the inline buffer rather
-  /// than behind a heap cell.  Exposed so tests and bench_simcore can pin
-  /// down which regime a given capture exercises.
+  /// than behind a heap cell.  Exposed so tests can pin down which regime a
+  /// given capture exercises.
   template <typename F>
   static constexpr bool stored_inline() {
     using Fn = std::decay_t<F>;

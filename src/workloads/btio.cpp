@@ -1,7 +1,8 @@
 #include "workloads/btio.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "mpiio/mpi.hpp"
 #include "stats/histogram.hpp"
@@ -14,7 +15,11 @@ constexpr std::int64_t kVarBytes = 5 * 8;  // 5 doubles per grid point
 
 int int_sqrt(int p) {
   const int s = static_cast<int>(std::lround(std::sqrt(static_cast<double>(p))));
-  assert(s * s == p && "BTIO requires a square process count");
+  if (p <= 0 || s * s != p) {
+    throw std::invalid_argument(
+        "BTIO requires a positive square process count, got " +
+        std::to_string(p));
+  }
   return s;
 }
 
@@ -78,6 +83,9 @@ std::int64_t BtIoConfig::request_bytes() const {
 }
 
 BtIoResult run_btio(cluster::Cluster& cluster, const BtIoConfig& cfg) {
+  // Checked before any rank launches: a throw inside a rank coroutine
+  // would terminate the process instead of reaching the caller.
+  int_sqrt(cfg.nprocs);
   const int dumps = cfg.time_steps / cfg.write_interval;
   const std::int64_t file_bytes = cfg.dump_bytes() * (dumps + 1);
   cluster.restart_daemons();

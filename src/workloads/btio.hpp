@@ -21,7 +21,8 @@
 namespace ibridge::workloads {
 
 struct BtIoConfig {
-  int nprocs = 64;       ///< must be a perfect square (BT requirement)
+  int nprocs = 64;       ///< a perfect square (BT requirement); run_btio
+                         ///< throws std::invalid_argument otherwise
   int grid = 162;        ///< class C
   int time_steps = 40;   ///< class C default; lower for faster runs
   int write_interval = 1;

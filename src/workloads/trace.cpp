@@ -80,17 +80,15 @@ TraceProfile s3d_profile() {
 
 Trace TraceSynthesizer::generate(std::size_t n, std::int64_t file_bytes,
                                  std::uint64_t seed) const {
-  // The generator proper lives in exp::WorkloadStream (a sequential cursor
-  // models checkpoint-style forward progress; random small requests and
-  // occasional jumps model header updates and restarts).  Materializing is
-  // just draining the stream — the two paths are digest-equivalent.
-  exp::WorkloadStream s = stream(file_bytes, seed);
+  // The generator proper is WorkloadStream; materializing is just draining
+  // it, so the two paths are digest-equivalent.
+  WorkloadStream s = stream(file_bytes, seed);
   Trace out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const exp::StreamRecord r = s.next();
+    const TraceRecord r = s.next();
     assert(r.offset + r.size <= file_bytes || r.offset == 0);
-    out.push_back({r.write, r.offset, r.size});
+    out.push_back(r);
   }
   return out;
 }
@@ -124,14 +122,13 @@ sim::Task<> replay_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
 }
 
 sim::Task<> replay_stream_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                               exp::WorkloadStream* stream, std::size_t n,
+                               WorkloadStream* stream, std::size_t n,
                                std::int64_t file_bytes,
                                stats::Summary* request_ms,
                                std::int64_t* bytes) {
   for (std::size_t i = 0; i < n; ++i) {
-    const exp::StreamRecord r = stream->next();
-    co_await replay_one(ctx, file, TraceRecord{r.write, r.offset, r.size},
-                        file_bytes, request_ms, bytes);
+    co_await replay_one(ctx, file, stream->next(), file_bytes, request_ms,
+                        bytes);
   }
 }
 
@@ -174,9 +171,8 @@ WorkloadResult replay_trace(cluster::Cluster& cluster, const Trace& trace,
                       });
 }
 
-WorkloadResult replay_stream(cluster::Cluster& cluster,
-                             exp::WorkloadStream& stream, std::size_t n,
-                             const ReplayConfig& cfg) {
+WorkloadResult replay_stream(cluster::Cluster& cluster, WorkloadStream& stream,
+                             std::size_t n, const ReplayConfig& cfg) {
   cluster.restart_daemons();
   auto fh = cluster.create_file(cfg.file_name, cfg.file_bytes);
   mpiio::MpiFile file(cluster.client(), fh);

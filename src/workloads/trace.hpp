@@ -10,12 +10,12 @@
 // so externally obtained traces can be replayed directly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "exp/workload_stream.hpp"
 #include "sim/rng.hpp"
 #include "workloads/common.hpp"
 
@@ -103,6 +103,79 @@ TraceProfile alegra_5832_profile();
 TraceProfile cth_profile();
 TraceProfile s3d_profile();
 
+/// Seeded, allocation-free request generator: the Table I synthesizer's
+/// loop turned inside out.  State is one Rng and a sequential cursor (a
+/// cursor models checkpoint-style forward progress; random small requests
+/// and occasional jumps model header updates and restarts), so a
+/// million-rank campaign can give every rank its own stream without
+/// materializing a Trace.  TraceSynthesizer::generate() drains one, so for
+/// a given (profile, unit, file_bytes, seed) the streamed and materialized
+/// sequences are record-for-record, draw-for-draw identical.
+class WorkloadStream {
+ public:
+  WorkloadStream(const TraceProfile& profile, std::int64_t stripe_unit,
+                 std::int64_t file_bytes, std::uint64_t seed)
+      : random_frac_(profile.random_frac),
+        large_size_(profile.large_size),
+        small_size_(profile.small_size),
+        write_frac_(profile.write_frac),
+        aligned_large_frac_(std::max(
+            0.0, 1.0 - profile.unaligned_frac - profile.random_frac)),
+        unit_(stripe_unit),
+        file_bytes_(file_bytes),
+        rng_(seed) {}
+
+  /// The next record of the stream.  Never allocates — a million-rank
+  /// campaign calls this from the steady-state serve path.
+  // lint: no-alloc
+  TraceRecord next() {
+    TraceRecord r;
+    r.write = rng_.chance(write_frac_);
+    const double u = rng_.uniform01();
+    if (u < random_frac_) {
+      // Regular random request: small, anywhere in the file.
+      r.size = std::max<std::int64_t>(
+          512, small_size_ / 2 + rng_.uniform(0, small_size_));
+      r.offset =
+          rng_.uniform(0, std::max<std::int64_t>(1, file_bytes_ - r.size));
+    } else if (u < random_frac_ + aligned_large_frac_) {
+      // Aligned large request: unit-multiple size at a unit boundary.
+      const std::int64_t units = std::max<std::int64_t>(1, large_size_ / unit_);
+      r.size = units * unit_;
+      cursor_ = (cursor_ / unit_) * unit_;
+      if (cursor_ + r.size > file_bytes_) cursor_ = 0;
+      r.offset = cursor_;
+      cursor_ += r.size;
+    } else {
+      // Unaligned large request: bigger than a unit, odd size or offset.
+      r.size = large_size_ +
+               rng_.uniform(1, std::max<std::int64_t>(2, unit_ / 2));
+      if (cursor_ + r.size > file_bytes_) cursor_ = 0;
+      r.offset = cursor_;
+      cursor_ += r.size;
+    }
+    ++generated_;
+    return r;
+  }
+
+  std::int64_t file_bytes() const { return file_bytes_; }
+  std::uint64_t generated() const { return generated_; }
+
+ private:
+  // Only the profile numbers next() reads: each rank of a scale run keeps
+  // a stream in its coroutine frame, so the profile's name stays behind.
+  double random_frac_;
+  std::int64_t large_size_;
+  std::int64_t small_size_;
+  double write_frac_;
+  double aligned_large_frac_;
+  std::int64_t unit_;
+  std::int64_t file_bytes_;
+  sim::Rng rng_;
+  std::int64_t cursor_ = 0;
+  std::uint64_t generated_ = 0;
+};
+
 class TraceSynthesizer {
  public:
   TraceSynthesizer(TraceProfile profile, std::int64_t stripe_unit = 64 * 1024)
@@ -116,12 +189,8 @@ class TraceSynthesizer {
 
   /// The same generator as an O(1)-state on-demand stream (scale runs that
   /// cannot afford a materialized Trace).
-  exp::WorkloadStream stream(std::int64_t file_bytes,
-                             std::uint64_t seed) const {
-    return exp::WorkloadStream(
-        {profile_.unaligned_frac, profile_.random_frac, profile_.large_size,
-         profile_.small_size, profile_.write_frac},
-        unit_, file_bytes, seed);
+  WorkloadStream stream(std::int64_t file_bytes, std::uint64_t seed) const {
+    return WorkloadStream(profile_, unit_, file_bytes, seed);
   }
 
  private:
@@ -147,8 +216,7 @@ WorkloadResult replay_trace(cluster::Cluster& cluster, const Trace& trace,
 /// (profile, unit, file_bytes, seed), the issued requests (and therefore
 /// the simulated schedule) are identical to replay_trace() over
 /// TraceSynthesizer::generate(n, ...).
-WorkloadResult replay_stream(cluster::Cluster& cluster,
-                             exp::WorkloadStream& stream, std::size_t n,
-                             const ReplayConfig& cfg = {});
+WorkloadResult replay_stream(cluster::Cluster& cluster, WorkloadStream& stream,
+                             std::size_t n, const ReplayConfig& cfg = {});
 
 }  // namespace ibridge::workloads

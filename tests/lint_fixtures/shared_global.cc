@@ -1,6 +1,6 @@
-// Fixture: a mutable namespace-scope global without a shard-owned /
-// shared-ok annotation must trip the shared-global rule (once) — hidden
-// shared state is exactly what no shard of the sim core can own.
+// Fixture: a mutable namespace-scope global without a shared-ok annotation
+// must trip the shared-global rule (once) — simulations running on
+// concurrent exp::Runner threads would race on it.
 namespace fixture {
 
 inline int g_request_hwm = 0;

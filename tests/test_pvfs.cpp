@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -132,6 +133,15 @@ TEST(Client, UnalignedRequestFansOutToTwoServers) {
   client_write(c, fh, 0, 63 * 1024, pattern(2048, 9));
   EXPECT_EQ(c.server(0).bytes_served(), sim::Bytes{1024});
   EXPECT_EQ(c.server(1).bytes_served(), sim::Bytes{1024});
+}
+
+TEST(Client, NonPositiveLengthThrows) {
+  cluster::Cluster c(verify_config(false));
+  const FileHandle fh = c.create_file("f", 8 << 20);
+  for (const std::int64_t len : {0, -1}) {
+    EXPECT_THROW(c.client().read_at(0, fh, 0, len), std::invalid_argument);
+    EXPECT_THROW(c.client().write_at(0, fh, 0, len), std::invalid_argument);
+  }
 }
 
 TEST(Client, RequestTimeIsMaxOfSubRequests) {

@@ -1,4 +1,5 @@
-// exp::WorkloadStream — streaming workload generation for scale campaigns.
+// workloads::WorkloadStream — streaming workload generation for scale
+// campaigns.
 //
 // The load-bearing property is digest equivalence: the streamed sequence
 // must be record-for-record identical to the materialized
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "exp/workload_stream.hpp"
 #include "workloads/trace.hpp"
 
 namespace ibridge::workloads {
@@ -31,10 +31,10 @@ TEST(WorkloadStream, StreamMatchesMaterializedTraceAcrossSeeds) {
     TraceSynthesizer synth(profile);
     for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
       const Trace trace = synth.generate(500, kFile, seed);
-      exp::WorkloadStream stream = synth.stream(kFile, seed);
+      WorkloadStream stream = synth.stream(kFile, seed);
       ASSERT_EQ(trace.size(), 500u);
       for (std::size_t i = 0; i < trace.size(); ++i) {
-        const exp::StreamRecord r = stream.next();
+        const TraceRecord r = stream.next();
         EXPECT_EQ(r.write, trace[i].write)
             << profile.name << " seed=" << seed << " i=" << i;
         EXPECT_EQ(r.offset, trace[i].offset)
@@ -52,13 +52,9 @@ TEST(WorkloadStream, StreamedClassificationMatchesTableTargets) {
   // Accumulator — no materialized Trace anywhere in this test.
   AccessClassifier classifier;
   for (const auto& profile : all_profiles()) {
-    exp::WorkloadStream stream =
-        TraceSynthesizer(profile).stream(1LL << 30, 7);
+    WorkloadStream stream = TraceSynthesizer(profile).stream(1LL << 30, 7);
     AccessClassifier::Accumulator acc;
-    for (int i = 0; i < 20'000; ++i) {
-      const exp::StreamRecord r = stream.next();
-      classifier.add(acc, TraceRecord{r.write, r.offset, r.size});
-    }
+    for (int i = 0; i < 20'000; ++i) classifier.add(acc, stream.next());
     const AccessStats s = classifier.finish(acc);
     EXPECT_NEAR(s.unaligned_pct, 100.0 * profile.unaligned_frac, 2.0)
         << profile.name;
@@ -97,7 +93,7 @@ TEST(WorkloadStream, ReplayStreamMatchesReplayTrace) {
       replay_trace(a, synth.generate(n, rc.file_bytes, 11), rc);
 
   cluster::Cluster b(cluster::ClusterConfig::with_ibridge());
-  exp::WorkloadStream stream = synth.stream(rc.file_bytes, 11);
+  WorkloadStream stream = synth.stream(rc.file_bytes, 11);
   const WorkloadResult via_stream = replay_stream(b, stream, n, rc);
 
   EXPECT_EQ(result_key(via_stream), result_key(via_trace));
@@ -125,7 +121,7 @@ TEST(WorkloadStreamFuzz, ShardedReplayStreamMatchesReplayTrace) {
         replay_trace(a, synth.generate(n, rc.file_bytes, seed), rc);
 
     cluster::Cluster b(sharded());
-    exp::WorkloadStream stream = synth.stream(rc.file_bytes, seed);
+    WorkloadStream stream = synth.stream(rc.file_bytes, seed);
     const WorkloadResult via_stream = replay_stream(b, stream, n, rc);
 
     EXPECT_EQ(result_key(via_stream), result_key(via_trace))

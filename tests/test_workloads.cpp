@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "workloads/btio.hpp"
 #include "workloads/ior_mpi_io.hpp"
@@ -221,6 +222,18 @@ TEST(BtIo, RequestSizesMatchPaper) {
   EXPECT_EQ(cfg.request_bytes(), 1600);
   cfg.nprocs = 64;
   EXPECT_EQ(cfg.request_bytes(), 800);
+}
+
+TEST(BtIo, RejectsNonSquareProcessCount) {
+  cluster::Cluster c(small_cluster());
+  BtIoConfig cfg;
+  cfg.grid = 32;
+  cfg.time_steps = 2;
+  for (const int nprocs : {8, 0, -4}) {
+    cfg.nprocs = nprocs;
+    EXPECT_THROW(run_btio(c, cfg), std::invalid_argument) << nprocs;
+    EXPECT_THROW(cfg.request_bytes(), std::invalid_argument) << nprocs;
+  }
 }
 
 TEST(BtIo, RunsAndSeparatesComputeFromIo) {

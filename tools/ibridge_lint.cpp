@@ -1,16 +1,12 @@
 // ibridge-lint — the project's static analyzer.
 //
-//   ibridge-lint [--project] <repo-root>   lint the whole tree (token rules
+//   ibridge-lint <repo-root>               lint the whole tree (token rules
 //                                          + the cross-file semantic pass)
 //   ibridge-lint --list-rules              print the rule registry
 //   ibridge-lint --audit-suppressions <repo-root>
 //                                          list every `lint:` annotation with
 //                                          file/line/reason; exit 1 on any
 //                                          reason-less suppression
-//   --index-cache FILE                     write the symbol index
-//                                          ("ibridge-lint-index-v1") to FILE;
-//                                          if FILE already exists, verify the
-//                                          fresh index round-trips identically
 //   --json                                 machine-readable findings, one
 //                                          JSON object per line
 //
@@ -18,11 +14,7 @@
 // fails the build.  See docs/LINT.md for the rules and escape hatches.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "lint/index.hpp"
 #include "lint/lint.hpp"
@@ -50,8 +42,7 @@ int run_audit(const std::string& root) {
     for (const auto& a : ibridge::lint::parse_annotations(f)) {
       ++total;
       // no-alloc is a bare marker; every other key carries a mandatory
-      // payload — a reason for suppressions/shared-ok, the owner module
-      // for shard-owned.
+      // reason.
       const bool needs_payload = a.key != "no-alloc";
       const bool blank =
           a.payload.find_first_not_of(" \t") == std::string::npos;
@@ -67,35 +58,10 @@ int run_audit(const std::string& root) {
   return missing == 0 ? 0 : 1;
 }
 
-/// Writes the serialized index to `path`.  When the file already exists,
-/// first checks that the fresh serialization matches (the determinism
-/// contract CI relies on for the cached artifact).
-int write_index_cache(const std::string& path, const std::string& fresh) {
-  std::ifstream existing(path);
-  if (existing.good()) {
-    std::ostringstream old;
-    old << existing.rdbuf();
-    if (old.str() == fresh) {
-      std::printf("ibridge-lint: index cache up to date (%s)\n", path.c_str());
-      return 0;
-    }
-    std::printf("ibridge-lint: index cache refreshed (%s)\n", path.c_str());
-  }
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "ibridge-lint: cannot write index cache %s\n",
-                 path.c_str());
-    return 1;
-  }
-  out << fresh;
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root;
-  std::string index_cache;
+  std::string root = ".";
   bool json = false;
   bool audit = false;
   for (int i = 1; i < argc; ++i) {
@@ -108,12 +74,11 @@ int main(int argc, char** argv) {
     }
     if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: ibridge-lint [--project] [--json] [--index-cache FILE] "
-          "[--audit-suppressions] [<repo-root>]\n"
+          "usage: ibridge-lint [--json] [--audit-suppressions] "
+          "[<repo-root>]\n"
           "       ibridge-lint --list-rules\n");
       return 0;
     }
-    if (arg == "--project") continue;  // tree mode is already project-wide
     if (arg == "--json") {
       json = true;
       continue;
@@ -122,41 +87,16 @@ int main(int argc, char** argv) {
       audit = true;
       continue;
     }
-    if (arg == "--index-cache") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "ibridge-lint: --index-cache needs a path\n");
-        return 2;
-      }
-      index_cache = argv[++i];
-      continue;
-    }
     if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "ibridge-lint: unknown flag %s\n", arg.c_str());
       return 2;
     }
     root = arg;
   }
-  if (root.empty()) root = ".";
 
   if (audit) return run_audit(root);
 
-  const auto files = ibridge::lint::load_tree(root);
-  if (!index_cache.empty()) {
-    const auto idx = ibridge::lint::build_index(files);
-    const std::string fresh = ibridge::lint::serialize_index(idx);
-    // A cache that fails to parse back would poison later consumers; check
-    // the round trip before publishing it.
-    const auto back = ibridge::lint::parse_index(fresh);
-    if (!back || ibridge::lint::serialize_index(*back) != fresh) {
-      std::fprintf(stderr,
-                   "ibridge-lint: index serialization does not round-trip\n");
-      return 2;
-    }
-    const int rc = write_index_cache(index_cache, fresh);
-    if (rc != 0) return rc;
-  }
-
-  const auto diags = ibridge::lint::lint_corpus(files);
+  const auto diags = ibridge::lint::lint_tree(root);
   for (const auto& d : diags) {
     if (json) {
       std::printf(
