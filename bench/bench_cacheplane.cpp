@@ -5,7 +5,10 @@
 // lookups into reused scratch) on a fixed serve mix — coverage+touch on
 // every serve, invalidate+append+insert on every 4th, a dirty-batch sweep
 // on every 8th, a victim-segment probe on every 16th — and counts its heap
-// allocations by replacing global operator new in this binary.
+// allocations with the shared global operator new counter
+// (bench/alloc_count.hpp).  The frame pool and the table's storage take
+// their memory from that same operator new, so pool warm-up shows in the
+// first repetition and steady-state reuse as ~0 in the others.
 //
 // Every result (slice lengths, log offsets, batch sizes, victim ids) folds
 // into a checksum.  The checksum, the op counts and the final table state
@@ -20,58 +23,21 @@
 // the frame pool) makes 0.01 or more allocations per serve (the CI
 // bench-gauge job runs this).  Emits BENCH_cacheplane.json.
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/mapping_table.hpp"
 #include "core/ssd_log.hpp"
+#include "bench/alloc_count.hpp"
 #include "exp/cli.hpp"
 #include "exp/gauge.hpp"
 #include "sim/task.hpp"
 #include "sim/units.hpp"
-
-// ------------------------------------------------- allocation counting ----
-// Counts every plain global operator new in the process.  Measured regions
-// snapshot the counter before/after, so unrelated allocations (stdio, gauge
-// output) never pollute the per-serve numbers.  The frame pool and the
-// table's storage grab their memory through this same operator new, so
-// pool warm-up is visible in the first repetition and steady-state reuse
-// shows up as ~0 in the others.
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
-
-// noinline keeps GCC from folding these bodies into container code and
-// then warning that the malloc/free pair mismatches the new it inlined.
-__attribute__((noinline)) void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t n) {
-  return ::operator new(n);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p,
-                                                 std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -278,12 +244,11 @@ Measurement measure(std::uint64_t serves, std::uint64_t files,
   // workload).
   for (int rep = 0; rep <= reps; ++rep) {
     Plane plane(serves, files, per_file);
-    const std::uint64_t a0 = g_new_calls.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = ibridge::bench::alloc_count();
     ibridge::exp::Stopwatch sw;
     plane.run();
     const double s = sw.seconds();
-    const std::uint64_t allocs =
-        g_new_calls.load(std::memory_order_relaxed) - a0;
+    const std::uint64_t allocs = ibridge::bench::alloc_count() - a0;
     m.checksum = plane.sum_;
     m.hits = plane.hits_;
     m.misses = plane.misses_;

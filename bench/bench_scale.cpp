@@ -21,79 +21,21 @@
 //     bytes) — the request set is a pure function of the per-rank seeds;
 //   * the steady-state serve path must be allocation-free: after a warmup
 //     prefix on a stock cluster, the remaining requests must allocate
-//     exactly zero times (global operator new is counted in-binary, as in
-//     bench_simcore).
+//     exactly zero times (global operator new is counted by the shared
+//     bench/alloc_count.hpp counter; --trace-allocs dumps a backtrace for
+//     the first allocations of the window).
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "cluster/cluster.hpp"
 #include "exp/cli.hpp"
 #include "exp/gauge.hpp"
 #include "mpiio/mpi.hpp"
 #include "workloads/trace.hpp"
-
-// ------------------------------------------------- allocation counting ----
-// Same idiom as bench_simcore: count every plain global operator new in the
-// process; measured regions snapshot the counter before/after.
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-// --trace-allocs diagnostics: when armed (during the steady-state window),
-// the first few allocations dump a raw backtrace so the offending call
-// site is identifiable without a heap profiler.
-std::atomic<int> g_trace_budget{0};
-}  // namespace
-
-#if defined(__GLIBC__)
-#include <execinfo.h>
-#endif
-
-namespace {
-__attribute__((noinline)) void maybe_trace_alloc(std::size_t n) {
-#if defined(__GLIBC__)
-  if (g_trace_budget.load(std::memory_order_relaxed) > 0 &&
-      g_trace_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
-    void* frames[32];
-    const int depth = backtrace(frames, 32);
-    std::fprintf(stderr, "---- alloc of %zu bytes ----\n", n);
-    backtrace_symbols_fd(frames, depth, 2);
-  }
-#else
-  (void)n;
-#endif
-}
-}  // namespace
-
-// noinline keeps GCC from folding these bodies into container code and
-// then warning that the malloc/free pair mismatches the new it inlined.
-__attribute__((noinline)) void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  maybe_trace_alloc(n);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t n) {
-  return ::operator new(n);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p,
-                                                 std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -204,12 +146,12 @@ RunResult run_cell(const RunSpec& spec, double* steady_allocs_per_req) {
     cluster.sim().run_while_pending(
         [&] { return shared.requests >= total_reqs / 2; });
     const std::uint64_t measured_from = shared.requests;
-    a0 = g_new_calls.load(std::memory_order_relaxed);
-    if (g_trace_allocs) g_trace_budget.store(24, std::memory_order_relaxed);
+    a0 = ibridge::bench::alloc_count();
+    if (g_trace_allocs) ibridge::bench::trace_next_allocs(24);
     cluster.sim().run_while_pending(
         [&] { return shared.requests >= (total_reqs * 7) / 8; });
-    g_trace_budget.store(0, std::memory_order_relaxed);
-    a1 = g_new_calls.load(std::memory_order_relaxed);
+    ibridge::bench::trace_next_allocs(0);
+    a1 = ibridge::bench::alloc_count();
     steady_reqs = shared.requests - measured_from;
     cluster.sim().run_while_pending([&] { return env.finished(); });
   } else {

@@ -3,8 +3,8 @@
 // Times sim::Simulator (sim::InlineEvent callbacks + 4-ary slot heap) on a
 // fan of self-rescheduling event chains whose lambdas capture 32 bytes —
 // more than libstdc++'s 16-byte std::function buffer, within InlineEvent's
-// 48-byte one — and counts heap allocations by replacing global operator
-// new in this binary.
+// 48-byte one — and counts heap allocations with the shared global
+// operator new counter (bench/alloc_count.hpp).
 //
 //   bench_simcore [--events N] [--chains N] [--reps N] [--check]
 //
@@ -19,51 +19,17 @@
 // in drain order; every rep must reproduce it, and its event, window and
 // post counts are tracked model gauges.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "exp/cli.hpp"
 #include "exp/gauge.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
-
-// ------------------------------------------------- allocation counting ----
-// Counts every plain global operator new in the process.  Measured regions
-// snapshot the counter before/after, so unrelated allocations (stdio, gauge
-// output) never pollute the per-event numbers.
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
-
-// noinline keeps GCC from folding these bodies into container code and
-// then warning that the malloc/free pair mismatches the new it inlined.
-__attribute__((noinline)) void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t n) {
-  return ::operator new(n);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p,
-                                                 std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -104,7 +70,7 @@ Measurement measure(std::int64_t total_events, int chains, int reps) {
   for (int rep = 0; rep <= reps; ++rep) {
     ibridge::sim::Simulator eng;
     eng.reserve(static_cast<std::size_t>(chains) + 16);
-    const std::uint64_t a0 = g_new_calls.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = ibridge::bench::alloc_count();
     ibridge::exp::Stopwatch sw;
     for (int c = 0; c < chains; ++c) {
       chain(eng, static_cast<std::uint64_t>(c), per_chain,
@@ -112,8 +78,7 @@ Measurement measure(std::int64_t total_events, int chains, int reps) {
     }
     eng.run();
     const double s = sw.seconds();
-    const std::uint64_t allocs =
-        g_new_calls.load(std::memory_order_relaxed) - a0;
+    const std::uint64_t allocs = ibridge::bench::alloc_count() - a0;
     m.events = eng.events_executed();
     if (rep == 0) {
       m.first_rep_allocs = allocs;

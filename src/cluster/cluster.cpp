@@ -1,6 +1,5 @@
 #include "cluster/cluster.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "storage/hdd.hpp"
@@ -312,8 +311,11 @@ void Cluster::collect_metrics(obs::MetricsRegistry& reg) const {
 
 void Cluster::start_metrics_sampler(sim::SimTime interval,
                                     obs::TimeSeries* out) {
-  assert(out != nullptr);
-  assert(interval > sim::SimTime::zero());
+  if (out == nullptr || interval <= sim::SimTime::zero()) {
+    throw std::invalid_argument(
+        "Cluster::start_metrics_sampler: needs a series and a positive "
+        "interval");
+  }
   sampler_running_ = true;
   const std::uint64_t epoch = ++sampler_epoch_;
   if (group_ == nullptr) {

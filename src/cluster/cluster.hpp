@@ -138,7 +138,8 @@ class Cluster {
   /// emitted at its grid timestamp once the barrier horizon passes it, so
   /// counter values are those visible at that barrier (they may include up
   /// to one window of events past the grid point).  Both modes are
-  /// deterministic.
+  /// deterministic.  Throws std::invalid_argument for a null `out` or a
+  /// non-positive `interval`.
   void start_metrics_sampler(sim::SimTime interval, obs::TimeSeries* out);
   void stop_metrics_sampler();
 

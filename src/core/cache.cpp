@@ -113,12 +113,13 @@ sim::Task<> IBridgeCache::wait_flush_windows(fsim::FileId f, Offset off,
 }
 
 void IBridgeCache::notify_flush_waiters() {
-  if (flush_waiters_.empty()) return;
-  auto batch = std::move(flush_waiters_);
-  flush_waiters_.clear();
-  for (auto h : batch) {
+  // defer() only queues the resumes, so nothing joins the list mid-loop;
+  // clear() keeps its capacity for the writes that park behind the next
+  // flush.
+  for (auto h : flush_waiters_) {
     sim_.defer([h] { h.resume(); });
   }
+  flush_waiters_.clear();
 }
 
 std::uint64_t IBridgeCache::pin_log_range(Offset off, Bytes len) {

@@ -127,7 +127,6 @@ void MappingTable::touch(EntryId id) {
   list_push_back(lru, s);
 }
 
-// lint: no-alloc
 void MappingTable::coverage_into(fsim::FileId file, Offset off, Bytes len,
                                  std::vector<LogSlice>& out) const {
   out.clear();
@@ -148,7 +147,6 @@ void MappingTable::coverage_into(fsim::FileId file, Offset off, Bytes len,
       return;
     }
     const Bytes take = std::min(end, e.file_end()) - pos;
-    // lint: alloc-ok (pooled lease: serve passes slice_pool_ vectors whose capacity survives release/acquire)
     out.push_back({id_of(s), pos, e.log_off + (pos - e.file_off), take});
     pos += take;
     if (pos >= end) break;
@@ -160,7 +158,6 @@ void MappingTable::coverage_into(fsim::FileId file, Offset off, Bytes len,
   }
 }
 
-// lint: no-alloc
 void MappingTable::overlapping_into(fsim::FileId file, Offset off, Bytes len,
                                     std::vector<EntryId>& out) const {
   out.clear();
@@ -171,14 +168,12 @@ void MappingTable::overlapping_into(fsim::FileId file, Offset off, Bytes len,
     const auto prev = by_file_.prev(it);
     if (by_file_.key(prev).first == file) {
       const std::uint32_t s = by_file_.value(prev);
-      // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
       if (slab_[s].entry.file_end() > off) out.push_back(id_of(s));
     }
   }
   for (; it != by_file_.end() && by_file_.key(it).first == file &&
          by_file_.key(it).second < end;
        it = by_file_.next(it)) {
-    // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
     out.push_back(id_of(by_file_.value(it)));
   }
 }
@@ -241,7 +236,6 @@ EntryId MappingTable::lru_victim(CacheClass c) const {
   return lru.head == kNil ? kNoEntry : id_of(lru.head);
 }
 
-// lint: no-alloc
 void MappingTable::dirty_entries_into(Bytes max_bytes,
                                       std::vector<EntryId>& out) const {
   out.clear();
@@ -254,7 +248,6 @@ void MappingTable::dirty_entries_into(Bytes max_bytes,
     const std::uint32_t s = dirty_.value(it);
     const CacheEntry& e = slab_[s].entry;
     if (budget - e.length < Bytes::zero() && !out.empty()) return;
-    // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
     out.push_back(id_of(s));
     budget -= e.length;
     if (budget <= Bytes::zero()) return;
@@ -267,7 +260,6 @@ std::vector<EntryId> MappingTable::dirty_entries(Bytes max_bytes) const {
   return out;
 }
 
-// lint: no-alloc
 void MappingTable::entries_in_log_range_into(Offset log_begin, Offset log_end,
                                              std::vector<EntryId>& out) const {
   out.clear();
@@ -275,12 +267,10 @@ void MappingTable::entries_in_log_range_into(Offset log_begin, Offset log_end,
   if (it != by_log_.begin()) {
     const std::uint32_t s = by_log_.value(by_log_.prev(it));
     const CacheEntry& e = slab_[s].entry;
-    // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
     if (e.log_off + e.length > log_begin) out.push_back(id_of(s));
   }
   for (; it != by_log_.end() && by_log_.key(it) < log_end;
        it = by_log_.next(it)) {
-    // lint: alloc-ok (pooled lease: id_pool_ vectors keep their capacity across serves)
     out.push_back(id_of(by_log_.value(it)));
   }
 }

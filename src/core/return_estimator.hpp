@@ -57,7 +57,6 @@ class ReturnEstimator {
   /// same order as the materialized list it replaced, so the arithmetic —
   /// including the skip of entries equal to `self` and n = sibling count —
   /// is unchanged.
-  // lint: no-alloc
   ReturnEstimate estimate(const ServiceTimeModel& model,
                           std::int64_t lbn,  // lint: units-ok (LBN)
                           Bytes bytes, storage::IoDirection dir,

@@ -41,16 +41,13 @@ class FragmentTagger {
   /// stripe order; `ring` is the striping server count, the modulus the
   /// SiblingSet enumerates siblings with.
   template <typename Piece>
-  // lint: no-alloc
   void tag_into(const std::vector<Piece>& pieces, int ring,
                 std::vector<TaggedSubRequest>& out) const {
     out.clear();
-    // lint: alloc-ok (amortized: pooled/reused vector keeps its capacity)
     out.reserve(pieces.size());
     bool multi_server = false;
     for (const auto& p : pieces) {
       if (!out.empty() && p.server != out.front().server) multi_server = true;
-      // lint: alloc-ok (within the reserve above; pooled vector keeps capacity)
       out.push_back({p.server, p.server_offset, p.length, false, {}});
     }
     if (!multi_server) return;  // single-server parent: no fragments

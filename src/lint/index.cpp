@@ -1,7 +1,5 @@
-// The symbol indexer: a scope-tracking scanner over the lexer's token
-// streams.  See index.hpp for what it recovers and what it deliberately
-// does not attempt (overload sets, templates, receiver types).
-#include <algorithm>
+// The shared-state indexer: a scope-tracking scanner over the lexer's
+// token streams.  See index.hpp for what it recovers.
 #include <cctype>
 #include <cstddef>
 #include <set>
@@ -75,7 +73,7 @@ const std::set<std::string>& spec_keywords() {
   return kSpecs;
 }
 
-/// Identifiers that look like calls but are control flow / operators.
+/// Identifiers followed by '(' that never name a function being declared.
 const std::set<std::string>& non_call_keywords() {
   static const std::set<std::string> kNonCall = {
       "if",        "for",      "while",     "switch",   "return",
@@ -95,16 +93,6 @@ const std::set<std::string>& type_keywords() {
   return kTypes;
 }
 
-/// Container-growth member calls the no-alloc analysis treats as potential
-/// allocations.
-const std::set<std::string>& growth_names() {
-  static const std::set<std::string> kGrowth = {
-      "push_back", "emplace_back", "push_front", "emplace_front",
-      "resize",    "reserve",      "insert",     "emplace",
-      "append",    "assign"};
-  return kGrowth;
-}
-
 /// The lexer strips quotes, so a string literal whose content is ")" or "="
 /// would otherwise satisfy punct comparisons and derail bracket matching.
 /// Scanning runs over a copy with literal texts replaced by placeholders.
@@ -119,17 +107,16 @@ std::vector<Token> neutralize_literals(const std::vector<Token>& in) {
 
 class FileIndexer {
  public:
-  FileIndexer(const SourceFile& f, Index& out)
+  FileIndexer(const SourceFile& f, std::vector<VarSym>& out)
       : f_(f), t_(neutralize_literals(f.tokens)), out_(out) {}
 
   void run() {
-    scope_body(0, t_.size(), /*in_class=*/false, top_scope());
-    attach_annotations();
+    const std::size_t first = out_.size();
+    scope_body(0, t_.size(), /*in_class=*/false, "");
+    attach_shared_ok(first);
   }
 
  private:
-  std::string top_scope() const { return ""; }
-
   std::string join_scope(const std::string& outer,
                          const std::string& name) const {
     if (outer.empty()) return name;
@@ -292,7 +279,6 @@ class FileIndexer {
     }
     if (j >= t_.size() || t_[j].text == ";") return j + 1;
     if (name.empty()) name = "(anon)";
-    out_.classes.push_back(join_scope(join_scope(file_scope(), scope), name));
     const std::size_t close = skip_balanced(t_, j);
     scope_body(j + 1, close, /*in_class=*/true, join_scope(scope, name));
     // `} name;` — an immediate variable of the anonymous/just-defined type.
@@ -311,8 +297,9 @@ class FileIndexer {
   // ------------------------------------------------------ declarations ----
 
   /// One declaration at namespace/class scope: a function definition (body
-  /// scanned), a function declaration (skipped), or a variable (recorded
-  /// when it is shared state).  Returns the index past the declaration.
+  /// scanned for local statics), a function declaration (skipped), or a
+  /// variable (recorded when it is shared state).  Returns the index past
+  /// the declaration.
   std::size_t parse_declaration(std::size_t i, std::size_t end, bool in_class,
                                 const std::string& scope) {
     bool saw_const = false;
@@ -354,16 +341,12 @@ class FileIndexer {
           continue;
         }
         if (s == "operator") {
-          return parse_function(j, operator_name(j), tok.line, in_class,
-                                scope, /*explicit_qual=*/current_qual(j));
+          return parse_function(j, function_scope(scope, j, s));
         }
         if (text_is(t_, j + 1, "(") && non_call_keywords().count(s) == 0 &&
             spec_keywords().count(s) == 0) {
           // Candidate function: name '(' params ')' ... '{' | ';' | '='
-          std::string name = s;
-          if (j >= 1 && t_[j - 1].text == "~") name = "~" + name;
-          return parse_function(j + 1, name, tok.line, in_class, scope,
-                                current_qual(j));
+          return parse_function(j + 1, function_scope(scope, j, s));
         }
         if (text_is(t_, j + 1, "<")) {
           // Type template-id (std::vector<...>); its arguments never name
@@ -426,40 +409,17 @@ class FileIndexer {
     return qual;
   }
 
-  /// Name of an operator function whose `operator` keyword is at `j`.
-  /// Returns e.g. "operator()", "operator==", "operator_bool",
-  /// "operator_new".  Leaves the cursor handling to parse_function (the
-  /// param '(' is found by scanning).
-  std::string operator_name(std::size_t j) const {
-    std::size_t k = j + 1;
-    if (is_ident(t_, k)) {  // conversion / operator new / operator delete
-      std::string name = "operator_" + t_[k].text;
-      ++k;
-      while (k < t_.size() &&
-             (is_ident(t_, k) || t_[k].text == "*" || t_[k].text == "&")) {
-        if (t_[k].kind == TokKind::kIdent) name += "_" + t_[k].text;
-        ++k;
-      }
-      return name;
-    }
-    std::string name = "operator";
-    if (text_is(t_, k, "(") && text_is(t_, k + 1, ")")) return "operator()";
-    if (text_is(t_, k, "[") && text_is(t_, k + 1, "]")) return "operator[]";
-    while (k < t_.size() && t_[k].kind == TokKind::kPunct &&
-           t_[k].text != "(") {
-      name += t_[k].text;
-      ++k;
-    }
-    return name;
+  /// Scope for the local statics of the function named `name` at `j`: the
+  /// enclosing scope plus any explicit `A::B::` qualifier and the name.
+  std::string function_scope(const std::string& scope, std::size_t j,
+                             const std::string& name) const {
+    return join_scope(join_scope(scope, current_qual(j)), name);
   }
 
   /// Parses a candidate function from the token after its name.  `i` points
-  /// at (or before) the parameter-list '('.  Either records a definition
-  /// and scans its body, or skips a mere declaration.
-  std::size_t parse_function(std::size_t i, const std::string& name,
-                             int name_line, bool in_class,
-                             const std::string& scope,
-                             const std::string& explicit_qual) {
+  /// at (or before) the parameter-list '('.  Either scans a definition's
+  /// body for local statics, or skips a mere declaration.
+  std::size_t parse_function(std::size_t i, const std::string& fn_scope) {
     std::size_t j = i;
     while (j < t_.size() && t_[j].text != "(") {
       if (t_[j].text == ";" || t_[j].text == "{" || t_[j].text == "}") {
@@ -474,24 +434,9 @@ class FileIndexer {
     // requires-clauses, ctor init lists — up to '{', ';', '=' or ','.
     while (j < t_.size()) {
       const std::string& s = t_[j].text;
-      if (s == "{") {
-        // Definition.
-        FunctionSym fn;
-        fn.name = name;
-        fn.scope = join_scope(join_scope(file_scope(), scope), explicit_qual);
-        fn.file = f_.rel;
-        fn.line = name_line;
-        fn.body_begin = j;
+      if (s == "{") {  // definition
         const std::size_t close = skip_balanced(t_, j);
-        fn.body_end = close;
-        fn.in_class = in_class || !explicit_qual.empty();
-        const int fid = static_cast<int>(out_.functions.size());
-        out_.functions.push_back(std::move(fn));
-        scan_function_body(j + 1, close - 1, fid,
-                           join_scope(join_scope(file_scope(), scope),
-                                      explicit_qual.empty()
-                                          ? name
-                                          : explicit_qual + "::" + name));
+        scan_function_body(j + 1, close - 1, fn_scope);
         return close;
       }
       if (s == ";") return j + 1;        // declaration only
@@ -547,10 +492,9 @@ class FileIndexer {
 
   // --------------------------------------------------- function bodies ----
 
-  /// Scans [i, end) — the inside of a function body — for call sites,
-  /// allocation sites, and static-local declarations.  Nested blocks and
-  /// lambdas are attributed to the enclosing function.
-  void scan_function_body(std::size_t i, std::size_t end, int fid,
+  /// Scans [i, end) — the inside of a function body, nested blocks and
+  /// lambdas included — for static and thread_local locals.
+  void scan_function_body(std::size_t i, std::size_t end,
                           const std::string& fn_scope) {
     for (std::size_t j = i; j < end && j < t_.size(); ++j) {
       const Token& tok = t_[j];
@@ -559,66 +503,10 @@ class FileIndexer {
         continue;
       }
       if (tok.kind != TokKind::kIdent) continue;
-      const std::string& s = tok.text;
-
-      // static / thread_local locals at statement position.
-      if ((s == "static" || s == "thread_local") && at_statement_start(j)) {
-        j = scan_static_local(j, end, fn_scope, s == "thread_local") - 1;
-        continue;
-      }
-
-      // Allocation sites.
-      if (s == "new") {
-        const bool op_new = j >= 1 && t_[j - 1].text == "operator";
-        if (op_new) {
-          record_alloc(fid, AllocKind::kOperatorNew, "operator-new", tok.line);
-        } else if (!text_is(t_, j + 1, "(")) {
-          record_alloc(fid, AllocKind::kNew, "new", tok.line);
-        }
-        continue;
-      }
-      if (s == "make_unique" || s == "make_shared") {
-        record_alloc(fid, AllocKind::kMakeSmart, s, tok.line);
-        continue;
-      }
-      if ((s == "malloc" || s == "calloc" || s == "realloc" ||
-           s == "strdup") &&
-          text_is(t_, j + 1, "(")) {
-        record_alloc(fid, AllocKind::kCAlloc, s, tok.line);
-        continue;
-      }
-
-      // Call sites: ident '(' (also ident '<...>' '(' for explicit template
-      // arguments), excluding keywords and declarations-like contexts.
-      if (non_call_keywords().count(s) != 0 ||
-          spec_keywords().count(s) != 0) {
-        continue;
-      }
-      std::size_t open = j + 1;
-      if (text_is(t_, open, "<")) {
-        const std::size_t after = skip_angles(t_, open);
-        if (!text_is(t_, after, "(")) continue;
-        open = after;
-      }
-      if (!text_is(t_, open, "(")) continue;
-
-      CallSite c;
-      c.caller = fid;
-      c.callee = s;
-      c.line = tok.line;
-      if (j >= 1 &&
-          (t_[j - 1].text == "." ||
-           (t_[j - 1].text == ">" && j >= 2 && t_[j - 2].text == "-"))) {
-        c.member = true;
-      } else if (j >= 2 && t_[j - 1].text == "::" && is_ident(t_, j - 2)) {
-        c.qual = current_qual(j);
-      }
-      const bool growth =
-          c.member && growth_names().count(s) != 0;
-      if (growth) {
-        record_alloc(fid, AllocKind::kGrowth, s, tok.line);
-      } else {
-        out_.calls.push_back(std::move(c));
+      if ((tok.text == "static" || tok.text == "thread_local") &&
+          at_statement_start(j)) {
+        j = scan_static_local(j, end, fn_scope, tok.text == "thread_local") -
+            1;
       }
     }
   }
@@ -685,8 +573,6 @@ class FileIndexer {
 
   // ----------------------------------------------------------- records ----
 
-  std::string file_scope() const { return ""; }
-
   void record_var(const std::string& name, int line, bool in_class,
                   const std::string& scope, bool is_const, bool is_static,
                   bool is_tl, bool at_function_scope) {
@@ -707,44 +593,25 @@ class FileIndexer {
     } else {
       v.kind = VarKind::kGlobal;
     }
-    out_.vars.push_back(std::move(v));
+    out_.push_back(std::move(v));
   }
 
-  void record_alloc(int fid, AllocKind kind, std::string what, int line) {
-    AllocSite a;
-    a.caller = fid;
-    a.kind = kind;
-    a.what = std::move(what);
-    a.line = line;
-    out_.allocs.push_back(std::move(a));
-  }
-
-  /// Resolves `// lint: no-alloc` / `shared-ok` comments
-  /// against the symbols recorded for this file.  The annotation applies to
-  /// a declaration on its own line or the line directly below.
-  void attach_annotations() {
-    const auto anns = parse_annotations(f_);
-    for (const Annotation& a : anns) {
-      if (a.key == "no-alloc") {
-        for (FunctionSym& fn : out_.functions) {
-          if (fn.file == f_.rel &&
-              (fn.line == a.line || fn.line == a.line + 1)) {
-            fn.no_alloc = true;
-          }
-        }
-      } else if (a.key == "shared-ok") {
-        for (VarSym& v : out_.vars) {
-          if (v.file == f_.rel && (v.line == a.line || v.line == a.line + 1)) {
-            v.shared_ok = true;
-          }
-        }
+  /// Marks the variables recorded for this file (from index `first` on)
+  /// that carry a shared-ok annotation on their own line or the line
+  /// directly above.
+  void attach_shared_ok(std::size_t first) {
+    for (const Annotation& a : parse_annotations(f_)) {
+      if (a.key != "shared-ok") continue;
+      for (std::size_t k = first; k < out_.size(); ++k) {
+        VarSym& v = out_[k];
+        if (v.line == a.line || v.line == a.line + 1) v.shared_ok = true;
       }
     }
   }
 
   const SourceFile& f_;
   const std::vector<Token> t_;
-  Index& out_;
+  std::vector<VarSym>& out_;
 };
 
 std::string trim(const std::string& s) {
@@ -782,23 +649,10 @@ std::vector<Annotation> parse_annotations(const SourceFile& f) {
   return out;
 }
 
-Index build_index(const std::vector<SourceFile>& files) {
-  Index idx;
-  std::set<std::string> project;
-  for (const SourceFile& f : files) project.insert(f.rel);
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const SourceFile& f = files[i];
-    idx.files.push_back(f.rel);
-    idx.modules.push_back(f.module);
-    for (const IncludeDirective& inc : f.includes) {
-      if (!inc.quoted) continue;
-      const std::string target = "src/" + inc.path;
-      if (project.count(target) != 0) idx.includes[f.rel].insert(target);
-    }
-    FileIndexer(f, idx).run();
-  }
-  std::sort(idx.classes.begin(), idx.classes.end());
-  return idx;
+std::vector<VarSym> build_index(const std::vector<SourceFile>& files) {
+  std::vector<VarSym> vars;
+  for (const SourceFile& f : files) FileIndexer(f, vars).run();
+  return vars;
 }
 
 }  // namespace ibridge::lint

@@ -1,15 +1,17 @@
 // ibridge-lint: project-specific static analysis for the iBridge simulator.
 //
-// Three rule families, enforced at build time via `ctest -L lint`:
+// Four rule families, enforced at build time via `ctest -L lint`:
 //
 //   determinism  — the simulator must be a pure function of its seed, so
 //                  wall-clock reads, ambient randomness, const_cast, and
-//                  iteration over unordered containers are banned.
+//                  unordered containers are banned.
 //   layering     — the module DAG (sim at the bottom, check at the top) is
 //                  enforced from #include edges, plus an include-what-you-use
-//                  pass for project headers.
+//                  pass for project headers and an include-cycle check.
 //   unit safety  — the core/pvfs model headers must speak Bytes/Offset/
 //                  ServerId (sim/units.hpp), not raw int64.
+//   shared state — mutable globals and statics in src/ must say why sharing
+//                  them across exp::Runner threads is safe.
 //
 // Escape hatch: a suppression comment on the offending line or the line
 // directly above, of the form

@@ -1,8 +1,9 @@
-// The ibridge-lint rule engine: determinism, layering, and unit-safety
-// checks over the token streams produced by lexer.cpp, plus the suppression
-// audit.  Every container in this file is ordered (std::map / std::set /
-// sorted vectors) so the linter's own output is deterministic — the same
-// property it enforces on the simulator.
+// The ibridge-lint rule engine: determinism, layering, unit-safety and
+// shared-state checks over the token streams produced by lexer.cpp and the
+// shared-state index (index.cpp), plus the annotation audit.  Every
+// container in this file is ordered (std::map / std::set / sorted vectors)
+// so the linter's own output is deterministic — the same property it
+// enforces on the simulator.
 #include <algorithm>
 #include <cstddef>
 #include <filesystem>
@@ -11,11 +12,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/index.hpp"
 #include "lint/lint.hpp"
-#include "lint/semantic.hpp"
 
 namespace ibridge::lint {
 namespace {
@@ -56,9 +57,10 @@ const std::map<std::string, std::set<std::string>>& layer_allowlist() {
   return kAllow;
 }
 
-/// Suppression key -> the rule it silences.  Rules absent from this table
-/// (rand, const-cast, layering, unordered-iteration, sim-callback) are hard
-/// bans with no escape hatch.
+/// Suppression key -> the rule it silences.  shared-global and
+/// static-local are silenced by the shared-ok marker on the declaration
+/// instead; every other rule absent from this table is a hard ban with no
+/// escape hatch.
 const std::map<std::string, std::string>& suppression_keys() {
   static const std::map<std::string, std::string> kKeys = {
       {"units-ok", "raw-unit-type"},
@@ -66,18 +68,9 @@ const std::map<std::string, std::string>& suppression_keys() {
       {"pointer-key-ok", "pointer-key"},
       {"rng-ok", "rng-construction"},
       {"wall-clock-ok", "wall-clock"},
-      {"alloc-ok", "no-alloc"},
       {"obs-bounded-ok", "obs-bounded"},
   };
   return kKeys;
-}
-
-/// Marker keys owned by the semantic pass (index.hpp annotations).  They
-/// are not suppressions of a same-line diagnostic, so the generic audit
-/// below skips them; semantic.cpp audits attachment and reasons instead.
-const std::set<std::string>& marker_keys() {
-  static const std::set<std::string> kMarkers = {"no-alloc", "shared-ok"};
-  return kMarkers;
 }
 
 bool starts_with(const std::string& s, const std::string& prefix) {
@@ -102,9 +95,6 @@ struct Context {
   std::set<std::string> project_files;  ///< every rel path in the corpus
   /// include path ("core/cache.hpp") -> names the header declares.
   std::map<std::string, std::set<std::string>> markers;
-  /// Names declared anywhere in the corpus with an unordered container type
-  /// (members live in headers, iteration in .cpp files, so this is global).
-  std::set<std::string> unordered_names;
 };
 
 using Diags = std::vector<Diagnostic>;
@@ -119,16 +109,6 @@ bool is_ident(const std::vector<Token>& t, std::size_t i) {
 }
 bool text_is(const std::vector<Token>& t, std::size_t i, const char* s) {
   return i < t.size() && t[i].text == s;
-}
-
-/// Index just past the '>' matching the '<' at `open`, or t.size().
-std::size_t skip_angles(const std::vector<Token>& t, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].text == "<") ++depth;
-    if (t[i].text == ">" && --depth == 0) return i + 1;
-  }
-  return t.size();
 }
 
 // ----------------------------------------------------- determinism rules ----
@@ -219,89 +199,20 @@ void check_const_cast(const SourceFile& f, Diags& out) {
   }
 }
 
-/// Names declared in `f` with an unordered container type, including through
-/// local `using X = std::unordered_map<...>` aliases.
-std::set<std::string> collect_unordered_names(const SourceFile& f) {
-  const auto& t = f.tokens;
+/// std::unordered_* in src/: iteration order follows the hash and the
+/// insertion history, so any walk over one can leak into results.  A flat
+/// ban is simpler than tracking every iteration site, and src/ needs none.
+void check_unordered_container(const SourceFile& f, Diags& out) {
+  if (!starts_with(f.rel, "src/")) return;
   static const std::set<std::string> kUnordered = {
       "unordered_map", "unordered_set", "unordered_multimap",
       "unordered_multiset"};
-  std::set<std::string> aliases;
-  std::set<std::string> names;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t, i)) continue;
-    if (t[i].text == "using" && is_ident(t, i + 1) &&
-        text_is(t, i + 2, "=")) {
-      for (std::size_t j = i + 3; j < t.size() && t[j].text != ";"; ++j) {
-        if (is_ident(t, j) && (kUnordered.count(t[j].text) != 0 ||
-                               aliases.count(t[j].text) != 0)) {
-          aliases.insert(t[i + 1].text);
-          break;
-        }
-      }
-      continue;
-    }
-    if (kUnordered.count(t[i].text) == 0 && aliases.count(t[i].text) == 0) {
-      continue;
-    }
-    std::size_t j = i + 1;
-    if (text_is(t, j, "<")) j = skip_angles(t, j);
-    while (text_is(t, j, "&") || text_is(t, j, "*") ||
-           (is_ident(t, j) && t[j].text == "const")) {
-      ++j;
-    }
-    if (is_ident(t, j)) names.insert(t[j].text);
-  }
-  return names;
-}
-
-void check_unordered_iteration(const SourceFile& f, const Context& ctx,
-                               Diags& out) {
-  const auto& t = f.tokens;
-  if (ctx.unordered_names.empty()) return;
-
-  // Range-for whose sequence expression is a plain access chain (no calls,
-  // no arithmetic) ending in a name declared unordered somewhere in the
-  // corpus.  Calls are skipped on purpose: `by_file_.at(fid)` may well yield
-  // an ordered inner container, and flagging it would teach people to
-  // suppress reflexively.
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!(is_ident(t, i) && t[i].text == "for" && text_is(t, i + 1, "("))) {
-      continue;
-    }
-    int depth = 0;
-    std::size_t colon = 0;
-    std::size_t close = t.size();
-    for (std::size_t j = i + 1; j < t.size(); ++j) {
-      if (t[j].text == "(" || t[j].text == "[" || t[j].text == "{") ++depth;
-      if (t[j].text == ")" || t[j].text == "]" || t[j].text == "}") {
-        if (--depth == 0) {
-          close = j;
-          break;
-        }
-      }
-      if (t[j].text == ":" && depth == 1 && colon == 0) colon = j;
-    }
-    if (colon == 0) continue;  // a classic for loop
-    bool plain_chain = true;
-    std::string hit;
-    for (std::size_t j = colon + 1; j < close; ++j) {
-      if (t[j].kind == TokKind::kIdent) {
-        if (ctx.unordered_names.count(t[j].text) != 0) hit = t[j].text;
-        continue;
-      }
-      if (t[j].text == "." || t[j].text == "::" || t[j].text == "-" ||
-          t[j].text == ">") {
-        continue;  // member access (-> lexes as two puncts)
-      }
-      plain_chain = false;
-      break;
-    }
-    if (plain_chain && !hit.empty()) {
-      report(out, f, t[i].line, "unordered-iteration",
-             "iterating '" + hit +
-                 "' (an unordered container) makes results depend on hash "
-                 "order; iterate a sorted copy or switch to std::map");
+  for (const Token& tok : f.tokens) {
+    if (tok.kind == TokKind::kIdent && kUnordered.count(tok.text) != 0) {
+      report(out, f, tok.line, "unordered-container",
+             "std::" + tok.text +
+                 " iterates in hash order; use std::map / std::set or a "
+                 "sorted vector");
     }
   }
 }
@@ -348,22 +259,6 @@ void check_layering(const SourceFile& f, const Context& ctx, Diags& out) {
     report(out, f, inc.line, "layering",
            "module '" + f.module + "' may not include '" + inc.path +
                "': '" + target + "' is not among its allowed dependencies");
-  }
-}
-
-/// The same path included twice in one file — always a merge or edit
-/// leftover, so a hard ban with no suppression key.
-void check_duplicate_include(const SourceFile& f, Diags& out) {
-  std::map<std::string, int> first_line;
-  for (const IncludeDirective& inc : f.includes) {
-    const std::string key =
-        (inc.quoted ? "\"" : "<") + inc.path + (inc.quoted ? "\"" : ">");
-    const auto [it, inserted] = first_line.emplace(key, inc.line);
-    if (!inserted) {
-      report(out, f, inc.line, "duplicate-include",
-             "duplicate #include " + key + " (first included on line " +
-                 std::to_string(it->second) + ")");
-    }
   }
 }
 
@@ -554,47 +449,132 @@ void check_obs_bounded(const SourceFile& f, Diags& out) {
   }
 }
 
-// ----------------------------------------------------------- suppression ----
+// ---------------------------------------------------------- shared state ----
 
+/// shared-global / static-local: every piece of mutable state that outlives
+/// one simulation must say why sharing it is safe, because exp::Runner runs
+/// simulations on concurrent threads.  Scoped to src/ — tests, bench and
+/// tools are single-process entry points.
+void check_shared_state(const std::vector<VarSym>& vars, Diags& out) {
+  for (const VarSym& v : vars) {
+    if (v.is_const || v.shared_ok || !starts_with(v.file, "src/")) continue;
+    if (v.kind == VarKind::kFunctionStatic ||
+        v.kind == VarKind::kThreadLocal) {
+      const char* what = v.kind == VarKind::kThreadLocal
+                             ? "thread_local"
+                             : "function-local static";
+      out.push_back(Diagnostic{
+          v.file, v.line, "static-local",
+          std::string(what) + " '" + v.name +
+              "' is hidden mutable state; hoist it into an owning object, "
+              "or annotate shared-ok (reason)"});
+    } else {
+      const char* what = v.kind == VarKind::kClassStatic
+                             ? "static data member"
+                             : "namespace-scope variable";
+      out.push_back(Diagnostic{
+          v.file, v.line, "shared-global",
+          std::string(what) + " '" + v.qualified() +
+              "' is mutable shared state; make it const, move it into an "
+              "owning object, or annotate shared-ok (reason)"});
+    }
+  }
+}
+
+// --------------------------------------------------------- include cycles ----
+
+/// include-cycle: a DFS over each file's quoted project includes.  A cycle
+/// is reported once, on the #include line in its smallest file (by path)
+/// that points at the next file along the cycle.
+class IncludeCycles {
+ public:
+  IncludeCycles(const std::vector<SourceFile>& files, Diags& out)
+      : out_(out) {
+    for (const SourceFile& f : files) by_rel_[f.rel] = &f;
+    for (const SourceFile& f : files) {
+      if (state_[f.rel] == kNew) visit(f);
+    }
+  }
+
+ private:
+  enum State { kNew, kOnStack, kDone };
+
+  // Recursion depth is bounded by the number of files.
+  void visit(const SourceFile& f) {
+    state_[f.rel] = kOnStack;
+    stack_.push_back(&f);
+    for (const IncludeDirective& inc : f.includes) {
+      if (!inc.quoted) continue;
+      const auto next = by_rel_.find("src/" + inc.path);
+      if (next == by_rel_.end()) continue;
+      const State s = state_[next->first];
+      if (s == kOnStack) report(*next->second);
+      if (s == kNew) visit(*next->second);
+    }
+    stack_.pop_back();
+    state_[f.rel] = kDone;
+  }
+
+  /// The cycle is the stack suffix from `entry`, rotated to start at its
+  /// smallest file so every discovery order yields the same report.
+  void report(const SourceFile& entry) {
+    std::vector<const SourceFile*> cycle(
+        std::find(stack_.begin(), stack_.end(), &entry), stack_.end());
+    std::rotate(cycle.begin(),
+                std::min_element(cycle.begin(), cycle.end(),
+                                 [](const SourceFile* a, const SourceFile* b) {
+                                   return a->rel < b->rel;
+                                 }),
+                cycle.end());
+    std::string path;
+    for (const SourceFile* f : cycle) path += f->rel + " -> ";
+    path += cycle.front()->rel;
+    if (!reported_.insert(path).second) return;
+    const SourceFile& head = *cycle.front();
+    const std::string& next = cycle[cycle.size() > 1 ? 1 : 0]->rel;
+    int line = 1;
+    for (const IncludeDirective& inc : head.includes) {
+      if (inc.quoted && "src/" + inc.path == next) {
+        line = inc.line;
+        break;
+      }
+    }
+    out_.push_back(Diagnostic{head.rel, line, "include-cycle",
+                              "project include cycle: " + path});
+  }
+
+  Diags& out_;
+  std::map<std::string, const SourceFile*> by_rel_;
+  std::map<std::string, State> state_;
+  std::vector<const SourceFile*> stack_;
+  std::set<std::string> reported_;
+};
+
+// ------------------------------------------------------------ annotations ----
+
+/// A suppression: an annotation whose key names the rule it silences.
 struct Suppression {
-  int line = 0;
-  std::string key;
-  std::string reason;
+  Annotation note;
   std::string rule;  ///< empty when the key is unknown
   bool used = false;
 };
 
-std::vector<Suppression> parse_suppressions(const SourceFile& f) {
-  std::vector<Suppression> out;
-  for (const Comment& c : f.comments) {
-    const auto start = c.text.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    if (c.text.compare(start, 5, "lint:") != 0) continue;
-    std::size_t p = start + 5;
-    while (p < c.text.size() && c.text[p] == ' ') ++p;
-    std::string key;
-    while (p < c.text.size() &&
-           (std::isalnum(static_cast<unsigned char>(c.text[p])) != 0 ||
-            c.text[p] == '-')) {
-      key += c.text[p++];
-    }
-    if (marker_keys().count(key) != 0) continue;  // semantic.cpp audits these
-    std::string reason;
-    const auto open = c.text.find('(', p);
-    const auto close = c.text.rfind(')');
-    if (open != std::string::npos && close != std::string::npos &&
-        close > open) {
-      reason = c.text.substr(open + 1, close - open - 1);
-    }
-    Suppression s;
-    s.line = c.line;
-    s.key = std::move(key);
-    s.reason = std::move(reason);
-    const auto it = suppression_keys().find(s.key);
-    if (it != suppression_keys().end()) s.rule = it->second;
-    out.push_back(std::move(s));
+/// lint-annotation for the shared-ok marker: it must attach to a
+/// shared-state declaration on its own line or the next, and carry a reason.
+void audit_shared_ok(const SourceFile& f, const Annotation& a,
+                     const std::vector<VarSym>& vars, Diags& out) {
+  const bool attached =
+      std::any_of(vars.begin(), vars.end(), [&](const VarSym& v) {
+        return v.file == f.rel && (v.line == a.line || v.line == a.line + 1);
+      });
+  if (!attached) {
+    report(out, f, a.line, "lint-annotation",
+           "'shared-ok' marker matches no shared-state declaration on this "
+           "or the next line; delete it");
+  } else if (a.payload.empty()) {
+    report(out, f, a.line, "lint-annotation",
+           "shared-ok is missing its mandatory (reason)");
   }
-  return out;
 }
 
 }  // namespace
@@ -605,10 +585,9 @@ const std::vector<RuleInfo>& rules() {
       {"rand", "no hidden-state C randomness; sim::Rng only"},
       {"rng-construction", "no raw <random> engines outside sim/rng"},
       {"const-cast", "no const_cast; add const overloads"},
-      {"unordered-iteration", "no iteration over unordered containers"},
+      {"unordered-container", "no std::unordered_* containers in src/"},
       {"pointer-key", "no pointer-keyed associative containers"},
       {"layering", "module #includes must follow the DAG"},
-      {"duplicate-include", "no path #included twice in one file"},
       {"include-what-you-use", "project includes must be used"},
       {"raw-unit-type", "typed-core headers use Bytes/Offset/ServerId"},
       {"sim-callback", "event callbacks use sim::InlineEvent, not std::function"},
@@ -617,7 +596,6 @@ const std::vector<RuleInfo>& rules() {
       {"lint-annotation", "suppressions need a known key and a reason"},
       {"shared-global", "no unannotated mutable globals or class statics"},
       {"static-local", "no unannotated static/thread_local function state"},
-      {"no-alloc", "no allocation inside `no-alloc` annotated functions"},
       {"include-cycle", "the project include graph stays acyclic"},
   };
   return kRules;
@@ -630,50 +608,46 @@ std::vector<Diagnostic> lint_corpus(const std::vector<SourceFile>& files) {
     if (starts_with(f.rel, "src/") && ends_with(f.rel, ".hpp")) {
       ctx.markers[f.rel.substr(4)] = extract_markers(f);
     }
-    const auto names = collect_unordered_names(f);
-    ctx.unordered_names.insert(names.begin(), names.end());
   }
+  const std::vector<VarSym> vars = build_index(files);
 
-  // Per-file token rules first, pooled by file so the cross-file semantic
-  // diagnostics can join them before suppression filtering.
-  std::map<std::string, Diags> raw_by_file;
+  // Corpus-wide rules have no suppression key, so their findings go
+  // straight to the output.
+  Diags all;
+  check_shared_state(vars, all);
+  IncludeCycles(files, all);  // reports each cycle as the search finds it
+
   for (const SourceFile& f : files) {
-    Diags& raw = raw_by_file[f.rel];
+    Diags raw;
     check_wall_clock(f, raw);
     check_rand(f, raw);
     check_rng_construction(f, raw);
     check_const_cast(f, raw);
-    check_unordered_iteration(f, ctx, raw);
+    check_unordered_container(f, raw);
     check_pointer_key(f, raw);
     check_layering(f, ctx, raw);
-    check_duplicate_include(f, raw);
     check_include_what_you_use(f, ctx, raw);
     check_raw_unit_type(f, raw);
     check_sim_callback(f, raw);
     check_ssd_fault_hook(f, raw);
     check_obs_bounded(f, raw);
-  }
 
-  // The semantic pass: symbol index + include/call graphs, shared-state and
-  // no-alloc analysis.  Its findings are suppressed (alloc-ok) and audited
-  // through the same per-file machinery as everything else.
-  {
-    const Index idx = build_index(files);
-    Diags semantic;
-    run_semantic_pass(files, idx, semantic);
-    for (Diagnostic& d : semantic) {
-      raw_by_file[d.file].push_back(std::move(d));
+    std::vector<Suppression> sups;
+    for (Annotation& a : parse_annotations(f)) {
+      if (a.key == "shared-ok") {
+        audit_shared_ok(f, a, vars, all);
+        continue;
+      }
+      const auto it = suppression_keys().find(a.key);
+      sups.push_back(Suppression{
+          std::move(a),
+          it == suppression_keys().end() ? std::string() : it->second});
     }
-  }
-
-  Diags all;
-  for (const SourceFile& f : files) {
-    Diags& raw = raw_by_file[f.rel];
-    auto sups = parse_suppressions(f);
     for (Diagnostic& d : raw) {
       bool suppressed = false;
       for (Suppression& s : sups) {
-        if (s.rule == d.rule && (s.line == d.line || s.line + 1 == d.line)) {
+        if (s.rule == d.rule &&
+            (s.note.line == d.line || s.note.line + 1 == d.line)) {
           s.used = true;
           suppressed = true;
         }
@@ -681,16 +655,16 @@ std::vector<Diagnostic> lint_corpus(const std::vector<SourceFile>& files) {
       if (!suppressed) all.push_back(std::move(d));
     }
     for (const Suppression& s : sups) {
+      const Annotation& a = s.note;
       if (s.rule.empty()) {
-        report(all, f, s.line, "lint-annotation",
-               "unknown suppression key '" + s.key + "'");
-      } else if (s.reason.find_first_not_of(" \t") == std::string::npos) {
-        report(all, f, s.line, "lint-annotation",
-               "suppression '" + s.key +
-                   "' is missing its mandatory (reason)");
+        report(all, f, a.line, "lint-annotation",
+               "unknown suppression key '" + a.key + "'");
+      } else if (a.payload.empty()) {
+        report(all, f, a.line, "lint-annotation",
+               "suppression '" + a.key + "' is missing its mandatory (reason)");
       } else if (!s.used) {
-        report(all, f, s.line, "lint-annotation",
-               "suppression '" + s.key +
+        report(all, f, a.line, "lint-annotation",
+               "suppression '" + a.key +
                    "' matches no diagnostic on this or the next line; "
                    "delete it");
       }

@@ -23,8 +23,9 @@
 // heat counters (operations and bytes served), published as
 // `sim.*`/`prof.*`/`srv<N>.prof.*` metrics — see docs/OBSERVABILITY.md.
 //
-// Determinism: both hook callbacks run inside Simulator::step()'s static
-// no-alloc zone, so every container is pre-sized during wiring
+// Determinism: both hook callbacks run inside Simulator::step(), which must
+// not allocate (the bench allocation gates count it), so every container is
+// pre-sized during wiring
 // (category()/set_server_count() allocate and must happen before the run).
 // The hooks neither allocate nor touch the event queue, so an attached
 // profiler keeps the simulated timeline byte-identical to an unprofiled
@@ -164,7 +165,7 @@ class ProfilerLane final : public sim::StepHook {
     }
   }
 
-  // sim::StepHook — runs inside the Simulator::step() no-alloc zone.
+  // sim::StepHook — runs inside Simulator::step(), which must not allocate.
   void on_event_begin(sim::SimTime now) override {
     parent_->active_ = this;
     gap_ns_ = (now - last_now_).ns();

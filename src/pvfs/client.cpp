@@ -35,8 +35,10 @@ Client::Client(sim::Simulator& sim, MetadataServer& mds,
       cfg_(cfg),
       tagger_(sim::Bytes{cfg.fragment_threshold}),
       rng_(cfg.seed) {
-  assert(!servers_.empty());
-  assert(!node_nics_.empty());
+  if (servers_.empty() || node_nics_.empty()) {
+    throw std::invalid_argument(
+        "pvfs::Client: needs at least one data server and one client NIC");
+  }
   // Each request fans out one sub-request per data server, and each
   // sub-request keeps an event or two pending (net hop, device completion,
   // deferred resume).  Reserve so request bursts never regrow the heap.

@@ -44,6 +44,7 @@ struct ClientConfig {
 
 class Client {
  public:
+  /// Throws std::invalid_argument when `servers` or `node_nics` is empty.
   Client(sim::Simulator& sim, MetadataServer& mds,
          std::vector<DataServer*> servers, net::NetworkModel& net,
          std::vector<net::Nic*> node_nics, ClientConfig cfg = {});

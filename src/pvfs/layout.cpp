@@ -29,7 +29,6 @@ std::vector<SubRequestSpec> StripingLayout::decompose(Offset offset,
   return out;
 }
 
-// lint: no-alloc
 void StripingLayout::decompose_into(Offset offset, Bytes length,
                                     std::vector<SubRequestSpec>& out) const {
   assert(offset >= Offset::zero() && length > Bytes::zero());
@@ -51,7 +50,6 @@ void StripingLayout::decompose_into(Offset offset, Bytes length,
         out.back().logical_offset + out.back().length == s.logical_offset) {
       out.back().length += take;
     } else {
-      // lint: alloc-ok (amortized: pooled/reused vector keeps its capacity)
       out.push_back(s);
     }
     pos += take;

@@ -9,9 +9,9 @@
 // reporting interval stale — exactly as in the paper's design.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,18 @@ struct LogicalFile {
 };
 
 class MetadataServer {
+  // The lookup behind both file() overloads (defined before their use, so
+  // its return type is deduced in time).
+  template <typename Files>
+  static auto& find_file(Files& files, FileHandle h) {
+    const auto it = files.find(h);
+    if (it == files.end()) {
+      throw std::invalid_argument("pvfs::MetadataServer: unknown file handle " +
+                                  std::to_string(h));
+    }
+    return it->second;
+  }
+
  public:
   MetadataServer(sim::Simulator& sim, std::vector<DataServer*> servers,
                  net::Nic& nic, sim::SimTime report_interval)
@@ -50,16 +62,10 @@ class MetadataServer {
   FileHandle create_file(const std::string& name, std::int64_t size,
                          std::int64_t stripe_unit);
 
-  const LogicalFile& file(FileHandle h) const {
-    auto it = files_.find(h);
-    assert(it != files_.end());
-    return it->second;
-  }
-  LogicalFile& file(FileHandle h) {
-    auto it = files_.find(h);
-    assert(it != files_.end());
-    return it->second;
-  }
+  /// Throws std::invalid_argument for a handle create_file() never
+  /// returned.
+  const LogicalFile& file(FileHandle h) const { return find_file(files_, h); }
+  LogicalFile& file(FileHandle h) { return find_file(files_, h); }
   FileHandle lookup(const std::string& name) const {
     auto it = by_name_.find(name);
     return it == by_name_.end() ? kInvalidHandle : it->second;

@@ -69,7 +69,6 @@ class InlineEvent {
     }
   }
 
-  // lint: no-alloc
   InlineEvent(InlineEvent&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       relocate_from(other);
@@ -77,7 +76,6 @@ class InlineEvent {
     }
   }
 
-  // lint: no-alloc
   InlineEvent& operator=(InlineEvent&& other) noexcept {
     if (this != &other) {
       reset();
@@ -97,7 +95,6 @@ class InlineEvent {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  // lint: no-alloc
   void operator()() {
     assert(ops_ != nullptr && "invoking empty/moved-from InlineEvent");
     ops_->invoke(buf_);
@@ -158,7 +155,6 @@ class InlineEvent {
   }
 
   /// Precondition: ops_ == other.ops_ != nullptr and buf_ holds no object.
-  // lint: no-alloc
   void relocate_from(InlineEvent& other) noexcept {
     if (ops_->relocate != nullptr) {
       ops_->relocate(buf_, other.buf_);
@@ -167,7 +163,6 @@ class InlineEvent {
     }
   }
 
-  // lint: no-alloc
   void reset() noexcept {
     if (ops_ != nullptr) {
       if (ops_->destroy != nullptr) ops_->destroy(buf_);

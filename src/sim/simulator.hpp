@@ -50,8 +50,9 @@ class ShardGroup;
 
 /// Observer of individual simulator steps (obs::ProfilerLane, one per
 /// simulator an obs::SimProfiler observes).
-/// Both callbacks run inside Simulator::step(), which is a static no-alloc
-/// zone — implementations must not allocate (pre-size any state up front).
+/// Both callbacks run inside Simulator::step(), which bench_simcore and
+/// bench_scale require to be allocation-free — implementations must not
+/// allocate (pre-size any state up front).
 class StepHook {
  public:
   virtual ~StepHook() = default;
@@ -117,7 +118,6 @@ class Simulator {
   void defer(Callback fn) { schedule_at(now_, std::move(fn)); }
 
   /// Run a single event.  Returns false when the queue is empty.
-  // lint: no-alloc
   bool step() {
     if (keys_.empty()) return false;
     now_ = key_time(keys_[0]);
@@ -126,7 +126,6 @@ class Simulator {
     // Move the callable out before invoking: the callback is free to
     // schedule new events, which may reuse this slot immediately.
     Callback fn = std::move(slots_[slot]);
-    // lint: alloc-ok (LIFO free list is bounded by slots_.size(), whose capacity schedule_at/reserve() already paid for)
     free_.push_back(slot);
     fn();
     ++executed_;
@@ -139,21 +138,18 @@ class Simulator {
   /// batch (their sequence numbers are higher), so the execution order is
   /// byte-identical to repeated step() calls — the batch only skips the
   /// per-event sift_down/push interleaving.  Returns false when empty.
-  // lint: no-alloc
   bool step_tick() {
     if (keys_.empty()) return false;
     const SimTime t = key_time(keys_[0]);
     now_ = t;
     ready_.clear();
     do {
-      // lint: alloc-ok (ready_ is bounded by the pending-event count, whose capacity reserve() already paid for)
       ready_.push_back(pop_top());
     } while (!keys_.empty() && key_time(keys_[0]) == t);
     for (std::size_t i = 0; i < ready_.size(); ++i) {
       const std::uint32_t slot = ready_[i];
       if (hook_ != nullptr) hook_->on_event_begin(now_);
       Callback fn = std::move(slots_[slot]);
-      // lint: alloc-ok (LIFO free list is bounded by slots_.size(), whose capacity schedule_at/reserve() already paid for)
       free_.push_back(slot);
       fn();
       ++executed_;
@@ -165,7 +161,7 @@ class Simulator {
   }
 
   /// Attach a per-step observer (null detaches).  The hook runs inside the
-  /// no-alloc step() zone; see StepHook.
+  /// allocation-free step(); see StepHook.
   void set_step_hook(StepHook* hook) { hook_ = hook; }
   StepHook* step_hook() const { return hook_; }
 
@@ -242,7 +238,6 @@ class Simulator {
 
   /// Pop the minimum heap entry, returning its arena slot.  Precondition:
   /// the heap is non-empty.
-  // lint: no-alloc
   std::uint32_t pop_top() {
     const std::uint32_t slot = heap_slots_[0];
     if (keys_.size() > 1) {

@@ -43,7 +43,6 @@ class HandleRing {
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
 
-  // lint: no-alloc
   void push(std::coroutine_handle<> h) {
     if (count_ == buf_.size()) grow();
     std::size_t j = head_ + count_;
@@ -345,10 +344,8 @@ class JoinSet {
   JoinSet& operator=(const JoinSet&) = delete;
 
   /// Add and immediately start a child task.
-  // lint: no-alloc
   void add(Task<> t) {
     ++total_;
-    // lint: alloc-ok (pooled wrapper frame; completion defer queue is reserved)
     wrap(std::move(t));  // eager: runs until the child's first suspension
   }
 

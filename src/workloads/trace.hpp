@@ -68,7 +68,6 @@ class AccessClassifier {
     double size_sum = 0.0;
   };
 
-  // lint: no-alloc
   void add(Accumulator& acc, const TraceRecord& r) const {
     if (is_unaligned(r)) ++acc.unaligned;
     if (is_random(r)) ++acc.random;
@@ -127,7 +126,6 @@ class WorkloadStream {
 
   /// The next record of the stream.  Never allocates — a million-rank
   /// campaign calls this from the steady-state serve path.
-  // lint: no-alloc
   TraceRecord next() {
     TraceRecord r;
     r.write = rng_.chance(write_frac_);

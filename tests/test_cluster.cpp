@@ -222,6 +222,18 @@ TEST(Cluster, TracingShardedClusterThrows) {
   c.set_trace(nullptr);
 }
 
+// A null series or a non-positive interval is refused in every build type.
+TEST(Cluster, MetricsSamplerRejectsMisuse) {
+  Cluster c(ClusterConfig::stock());
+  obs::TimeSeries series;
+  EXPECT_THROW(c.start_metrics_sampler(sim::SimTime::millis(5), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(c.start_metrics_sampler(sim::SimTime::zero(), &series),
+               std::invalid_argument);
+  EXPECT_THROW(c.start_metrics_sampler(sim::SimTime::millis(-1), &series),
+               std::invalid_argument);
+}
+
 TEST(Cluster, AggregateMetricsAccumulate) {
   Cluster c(ClusterConfig::with_ibridge());
   auto cfg = quick(65 * 1024, true);

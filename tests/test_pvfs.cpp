@@ -104,6 +104,16 @@ TEST(MetadataServer, BoardDaemonPublishesTValues) {
 
 // ----------------------------------------------------------------- client ----
 
+// An unknown handle is refused in every build type, not only under assert.
+TEST(MetadataServer, UnknownHandleThrows) {
+  cluster::Cluster c(verify_config(false));
+  const FileHandle fh = c.create_file("f", 8 << 20);
+  EXPECT_EQ(c.mds().file(fh).name, "f");
+  const MetadataServer& mds = c.mds();
+  EXPECT_THROW(c.mds().file(fh + 1), std::invalid_argument);
+  EXPECT_THROW(mds.file(kInvalidHandle), std::invalid_argument);
+}
+
 TEST(Client, WriteReadRoundTripAcrossServers) {
   for (const bool ibridge : {false, true}) {
     cluster::Cluster c(verify_config(ibridge));
@@ -142,6 +152,16 @@ TEST(Client, NonPositiveLengthThrows) {
     EXPECT_THROW(c.client().read_at(0, fh, 0, len), std::invalid_argument);
     EXPECT_THROW(c.client().write_at(0, fh, 0, len), std::invalid_argument);
   }
+}
+
+TEST(Client, MissingServersOrNicsThrow) {
+  cluster::Cluster c(verify_config(false));
+  net::NetworkModel net(c.sim());
+  net::Nic& nic = net.add_endpoint("client");
+  EXPECT_THROW(Client(c.sim(), c.mds(), {}, net, {&nic}),
+               std::invalid_argument);
+  EXPECT_THROW(Client(c.sim(), c.mds(), {&c.server(0)}, net, {}),
+               std::invalid_argument);
 }
 
 TEST(Client, RequestTimeIsMaxOfSubRequests) {
