@@ -1,34 +1,23 @@
-// Shared helpers for the per-figure benchmark binaries.
+// Shared helpers for the simulation benches: bench_paper (every table and
+// figure of the paper), bench_faults and bench_fuzzmix.
 //
-// Each bench_* executable regenerates one of the paper's tables or figures:
-// it runs the corresponding workload on simulated clusters and prints the
-// same rows/series the paper reports, with the paper's published numbers
-// alongside for comparison.  Absolute MB/s are model-calibrated, not
-// testbed-identical; EXPERIMENTS.md records the deltas.
-//
-// Benches accept an optional scale argument:
-//   bench_figX [--full]     sweep the paper's full 10 GB dataset (slow)
+// All three take the same arguments:
+//   --full     the paper's full 10 GB sweeps, 40 BTIO steps and larger
+//              trace/case counts (slow)
+//   --jobs N   run independent cells on an exp::Runner pool of N threads.
+//              Results are committed in submission order, so the printed
+//              tables and the model section of every BENCH_<name>.json are
+//              identical at every N (only the "wall" section changes).
 // The default accesses a smaller slice so the whole suite finishes in
-// minutes; shapes are unaffected because throughput is steady-state.
-//
-// Sweep benches also accept --jobs N: independent cells fan out over an
-// exp::Runner pool.  Results are committed in submission order, so the
-// printed tables and the BENCH_<name>.json model metrics are identical at
-// every N (only the "wall" section changes).
+// seconds; shapes are unaffected because throughput is steady-state.
 #pragma once
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
-#include "cluster/cluster.hpp"
 #include "exp/cli.hpp"
-#include "obs/metrics.hpp"
-#include "stats/table.hpp"      // lint: include-ok (umbrella: benches print Tables)
-#include "workloads/btio.hpp"   // lint: include-ok (umbrella: benches run BTIO)
-#include "workloads/ior_mpi_io.hpp"
-#include "workloads/mpi_io_test.hpp"
-#include "workloads/trace.hpp"
 
 namespace ibridge::bench {
 
@@ -40,18 +29,32 @@ struct Scale {
   std::int64_t access_bytes = 400 * kMB;  // per mpi-io-test/ior run
   int btio_steps = 2;                     // of the class-C 40
   std::size_t trace_requests = 2'000;
-  int jobs = 1;  // exp::Runner pool size for independent sweep cells
+  int jobs = 1;  // exp::Runner pool size for independent cells
 
-  static Scale parse(int argc, char** argv) {
+  /// Parses `[--full] [--jobs N]`; plain words go to `*names` when the
+  /// bench takes them (bench_paper's figure ids).  Any other argument, a
+  /// `--jobs` without a value included, prints a usage line and exits 2,
+  /// the tools' usage-error code, so a typo cannot quietly run something
+  /// else.
+  static Scale parse(int argc, char** argv,
+                     std::vector<std::string>* names = nullptr) {
     Scale s;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--full") == 0) {
+      const std::string arg = argv[i];
+      if (arg == "--full") {
         s.access_bytes = 10 * kGB;
         s.btio_steps = 40;
         s.trace_requests = 20'000;
-      } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      } else if (arg == "--jobs" && i + 1 < argc) {
         s.jobs = static_cast<int>(
             exp::require_int(argv[0], "--jobs", argv[++i], 1, 256));
+      } else if (names != nullptr && !arg.empty() && arg[0] != '-') {
+        names->push_back(arg);
+      } else {
+        std::fprintf(stderr, "%s: bad argument '%s'\nusage: %s [--full] "
+                     "[--jobs N]%s\n", argv[0], arg.c_str(), argv[0],
+                     names != nullptr ? " [figure...]" : "");
+        std::exit(2);
       }
     }
     return s;
@@ -66,28 +69,6 @@ inline void footnote() {
   std::printf(
       "    (model-calibrated simulation; compare shapes/ratios with the "
       "paper, see EXPERIMENTS.md)\n");
-}
-
-/// Throughput including the end-of-run write-back drain, as the paper
-/// measures ("we include ... the time for writing dirty data back").
-inline double mbps_total(const workloads::WorkloadResult& r) {
-  const double s = r.elapsed.to_seconds();
-  return s > 0 ? static_cast<double>(r.bytes) / 1e6 / s : 0.0;
-}
-
-/// Scrape the cluster's unified metrics and print every row whose name
-/// starts with `prefix` (empty prints all) — the registry-backed
-/// replacement for ad-hoc per-bench meter dumps.
-inline void print_metrics(const cluster::Cluster& c,
-                          const std::string& prefix = "") {
-  obs::MetricsRegistry reg;
-  c.collect_metrics(reg);
-  for (const auto& [name, value] : reg.flatten()) {
-    if (!prefix.empty() && name.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    std::printf("    %-36s %.6g\n", name.c_str(), value);
-  }
 }
 
 }  // namespace ibridge::bench

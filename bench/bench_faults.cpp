@@ -16,10 +16,12 @@
 
 #include "bench/bench_common.hpp"
 #include "check/generator.hpp"
+#include "cluster/cluster.hpp"
 #include "exp/gauge.hpp"
 #include "exp/runner.hpp"
 #include "fault/engine.hpp"
 #include "sim/task.hpp"
+#include "stats/table.hpp"
 
 using namespace ibridge;
 using namespace ibridge::bench;

@@ -1,7 +1,7 @@
 // Randomized-mix comparison built on the SimCheck generator: each seeded
 // case draws a cluster geometry, iBridge knobs, and an interleaved
 // unaligned read/write trace, then runs it under the three storage
-// policies.  Unlike the per-figure benches (one workload shape each), this
+// policies.  Unlike the paper figures (one workload shape each), this
 // reports how the policies rank across a *population* of adversarial
 // mixes, and doubles as a cheap payload-equivalence sweep: every case is
 // checked with the full differential oracle.
@@ -16,6 +16,7 @@
 #include "check/generator.hpp"
 #include "exp/gauge.hpp"
 #include "exp/runner.hpp"
+#include "stats/table.hpp"
 
 using namespace ibridge;
 using namespace ibridge::bench;

@@ -124,8 +124,9 @@ class IBridgeCache {
   /// This server's current decayed average disk service time T (ms).
   double current_t() const { return stm_.t(); }
 
-  /// Install the latest broadcast of all servers' T values.
-  void set_board(TBoard board) { board_ = std::move(board); }
+  /// Install the latest broadcast of all servers' T values (a copy into
+  /// the existing board, which allocates only when the board grows).
+  void set_board(const TBoard& board) { board_ = board; }
   const TBoard& board() const { return board_; }
 
   const CacheStats& stats() const { return stats_; }

@@ -21,7 +21,7 @@ enum class PartitionMode {
 
 /// Which requests are admitted into the SSD cache.  kReturnBased is the
 /// paper's contribution; the others are baselines from its related-work
-/// comparison, used by bench_baselines:
+/// comparison, used by bench_paper's Ablation 3:
 ///   kAlwaysSmall — cache every request below the size threshold ("SSD is
 ///     simply used for caching small/random data", which the paper
 ///     distinguishes itself from);

@@ -9,7 +9,7 @@
 // may be scattered over many ranks' logs in write order, so read locality
 // is whatever the write pattern was.  The paper's critique — "spatial
 // locality is largely lost in the log file system" — is exactly what
-// bench_plfs measures.
+// `bench_paper plfs` measures.
 //
 // Index semantics: last write wins (records carry a global sequence
 // number); lookups flatten the per-rank indices into the newest mapping for

@@ -91,13 +91,13 @@ sim::Task<> MetadataServer::board_daemon() {
     if (!running_ || epoch != epoch_) break;
     // Collect the servers' current T values (the per-server report daemons
     // of the paper, collapsed into one poll with identical staleness), then
-    // broadcast the board.
-    core::TBoard board(servers_.size(), 0.0);
+    // broadcast the board.  Filled in place and copied into each server's
+    // existing board, so a broadcast allocates nothing after the first.
+    board_.resize(servers_.size());
     for (std::size_t s = 0; s < servers_.size(); ++s) {
-      board[s] = servers_[s]->current_t();
+      board_[s] = servers_[s]->current_t();
     }
-    board_ = board;
-    for (auto* s : servers_) s->set_board(board);
+    for (auto* s : servers_) s->set_board(board_);
   }
 }
 

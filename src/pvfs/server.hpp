@@ -86,8 +86,8 @@ class DataServer {
 
   /// Current decayed average disk service time T (ms); 0 when stock.
   double current_t() const { return cache_ ? cache_->current_t() : 0.0; }
-  void set_board(core::TBoard board) {
-    if (cache_) cache_->set_board(std::move(board));
+  void set_board(const core::TBoard& board) {
+    if (cache_) cache_->set_board(board);
   }
 
   bool has_cache() const { return cache_ != nullptr; }

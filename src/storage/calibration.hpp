@@ -4,8 +4,8 @@
 // MK0120EAVDT 120 GB SATA SSD.  We do not model those exact drives; we pick
 // model parameters so the simulated devices reproduce Table II's sequential
 // rates exactly and its sequential-vs-random ordering and read-vs-write
-// asymmetry.  bench_table2_devices regenerates the table from the models and
-// tests/storage pin these calibrations with tolerances.
+// asymmetry.  `bench_paper table2` regenerates the table from the models
+// and tests/storage pin these calibrations with tolerances.
 #pragma once
 
 #include "storage/hdd.hpp"

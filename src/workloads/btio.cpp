@@ -4,9 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "mpiio/mpi.hpp"
-#include "stats/histogram.hpp"
-
 namespace ibridge::workloads {
 
 namespace {
@@ -23,16 +20,10 @@ int int_sqrt(int p) {
   return s;
 }
 
-struct Shared {
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  std::uint64_t requests = 0;
-  sim::SimTime io_time_total;
-  sim::SimTime compute_total;
-};
+}  // namespace
 
-sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                      BtIoConfig cfg, Shared* shared) {
+sim::Task<> btio_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
+                      BtIoConfig cfg, BtIoTally* tally) {
   const int sq = int_sqrt(cfg.nprocs);
   const int cw = cfg.grid / sq;  // cell width (contiguous run, grid points)
   const int pi = ctx.rank() % sq;
@@ -50,7 +41,7 @@ sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
   std::int64_t dump_index = 0;
   for (int step = 0; step < cfg.time_steps; ++step) {
     co_await ctx.compute(compute_per_step);
-    shared->compute_total += compute_per_step;
+    tally->compute_total += compute_per_step;
     if ((step + 1) % cfg.write_interval != 0) continue;
 
     // Append this process's sub-domain of the solution array: one
@@ -63,19 +54,18 @@ sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
             static_cast<std::int64_t>(pi) * cw * kVarBytes;
         const sim::SimTime t =
             co_await file.write_at(ctx.rank(), offset, run_bytes);
-        shared->request_ms.add(t.to_millis());
-        shared->io_time_total += t;
-        shared->bytes += run_bytes;
-        ++shared->requests;
+        tally->request_ms.add(t.to_millis());
+        tally->io_time_total += t;
+        tally->bytes += run_bytes;
+        ++tally->requests;
       }
     }
     ++dump_index;
     // BT synchronizes between time steps.
     co_await ctx.barrier();
   }
+  tally->done = ctx.sim().now();
 }
-
-}  // namespace
 
 std::int64_t BtIoConfig::request_bytes() const {
   const int sq = int_sqrt(nprocs);
@@ -92,11 +82,11 @@ BtIoResult run_btio(cluster::Cluster& cluster, const BtIoConfig& cfg) {
   auto fh = cluster.create_file(cfg.file_name, file_bytes);
   mpiio::MpiFile file(cluster.client(), fh);
 
-  Shared shared;
+  BtIoTally tally;
   mpiio::MpiEnvironment env(cluster.sim(), cluster.client(), cfg.nprocs);
   const sim::SimTime t0 = cluster.sim().now();
   env.launch([&](mpiio::MpiContext ctx) {
-    return rank_body(ctx, file, cfg, &shared);
+    return btio_rank(ctx, file, cfg, &tally);
   });
   cluster.sim().run_while_pending([&] { return env.finished(); });
   const sim::SimTime io_done = cluster.sim().now();
@@ -105,11 +95,11 @@ BtIoResult run_btio(cluster::Cluster& cluster, const BtIoConfig& cfg) {
   BtIoResult r;
   r.io_elapsed = io_done - t0;
   r.elapsed = flushed - t0;
-  r.bytes = shared.bytes;
-  r.requests = shared.requests;
-  r.avg_request_ms = shared.request_ms.mean();
-  r.io_time = shared.io_time_total / cfg.nprocs;
-  r.compute_time = shared.compute_total / cfg.nprocs;
+  r.bytes = tally.bytes;
+  r.requests = tally.requests;
+  r.avg_request_ms = tally.request_ms.mean();
+  r.io_time = tally.io_time_total / cfg.nprocs;
+  r.compute_time = tally.compute_total / cfg.nprocs;
   r.compute_seconds = r.compute_time.to_seconds();
   return r;
 }

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <string>
 
+#include "mpiio/mpi.hpp"
+#include "stats/histogram.hpp"
 #include "workloads/common.hpp"
 
 namespace ibridge::workloads {
@@ -43,5 +45,23 @@ struct BtIoResult : WorkloadResult {
 };
 
 BtIoResult run_btio(cluster::Cluster& cluster, const BtIoConfig& cfg);
+
+/// What the ranks of one BTIO run add up while they execute.
+struct BtIoTally {
+  stats::Summary request_ms;
+  std::int64_t bytes = 0;
+  std::uint64_t requests = 0;
+  sim::SimTime io_time_total;  ///< summed over ranks
+  sim::SimTime compute_total;  ///< summed over ranks
+  sim::SimTime done;           ///< when the last rank finished
+};
+
+/// One BTIO process: compute phases and solution dumps into `file`, a file
+/// of at least dump_bytes() * (time_steps / write_interval + 1) bytes.
+/// run_btio launches one per process; Figure 12 runs them beside
+/// mpi-io-test ranks on one cluster.  cfg.nprocs must be a perfect square
+/// (a throw inside a rank terminates the process).
+sim::Task<> btio_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
+                      BtIoConfig cfg, BtIoTally* tally);
 
 }  // namespace ibridge::workloads

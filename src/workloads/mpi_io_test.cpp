@@ -2,24 +2,28 @@
 
 #include <algorithm>
 
-#include "mpiio/mpi.hpp"
-#include "stats/histogram.hpp"
-
 namespace ibridge::workloads {
 
 namespace {
 
-struct Shared {
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  std::uint64_t requests = 0;
-};
+/// Iterations each process runs: the accessed bytes (capped at the file)
+/// past the shift, in whole rounds of nprocs requests; at least one.
+std::int64_t iterations_of(const MpiIoTestConfig& cfg) {
+  const std::int64_t accessible =
+      cfg.access_bytes > 0 ? std::min(cfg.access_bytes, cfg.file_bytes)
+                           : cfg.file_bytes;
+  const std::int64_t per_iter =
+      static_cast<std::int64_t>(cfg.nprocs) * cfg.request_size;
+  return std::max<std::int64_t>(1, (accessible - cfg.offset_shift) / per_iter);
+}
 
-sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                      MpiIoTestConfig cfg, std::int64_t iterations,
-                      Shared* shared) {
+}  // namespace
+
+sim::Task<> mpi_io_test_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
+                             MpiIoTestConfig cfg, MpiIoTestTally* tally) {
   const int n = ctx.size();
   const std::int64_t s = cfg.request_size;
+  const std::int64_t iterations = iterations_of(cfg);
   for (std::int64_t k = 0; k < iterations; ++k) {
     const std::int64_t offset =
         k * n * s + static_cast<std::int64_t>(ctx.rank()) * s +
@@ -31,14 +35,13 @@ sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
     } else {
       t = co_await file.read_at(ctx.rank(), offset, s);
     }
-    shared->request_ms.add(t.to_millis());
-    shared->bytes += s;
-    ++shared->requests;
+    tally->request_ms.add(t.to_millis());
+    tally->bytes += s;
+    ++tally->requests;
     if (cfg.barrier_each_iteration) co_await ctx.barrier();
   }
+  tally->done = ctx.sim().now();
 }
-
-}  // namespace
 
 WorkloadResult run_mpi_io_test(cluster::Cluster& cluster,
                                const MpiIoTestConfig& cfg) {
@@ -46,19 +49,11 @@ WorkloadResult run_mpi_io_test(cluster::Cluster& cluster,
   auto fh = cluster.create_file(cfg.file_name, cfg.file_bytes);
   mpiio::MpiFile file(cluster.client(), fh);
 
-  const std::int64_t accessible =
-      cfg.access_bytes > 0 ? std::min(cfg.access_bytes, cfg.file_bytes)
-                           : cfg.file_bytes;
-  const std::int64_t per_iter =
-      static_cast<std::int64_t>(cfg.nprocs) * cfg.request_size;
-  const std::int64_t iterations = std::max<std::int64_t>(
-      1, (accessible - cfg.offset_shift) / per_iter);
-
-  Shared shared;
+  MpiIoTestTally tally;
   mpiio::MpiEnvironment env(cluster.sim(), cluster.client(), cfg.nprocs);
   const sim::SimTime t0 = cluster.sim().now();
   env.launch([&](mpiio::MpiContext ctx) {
-    return rank_body(ctx, file, cfg, iterations, &shared);
+    return mpi_io_test_rank(ctx, file, cfg, &tally);
   });
   cluster.sim().run_while_pending([&] { return env.finished(); });
   const sim::SimTime io_done = cluster.sim().now();
@@ -67,9 +62,9 @@ WorkloadResult run_mpi_io_test(cluster::Cluster& cluster,
   WorkloadResult r;
   r.io_elapsed = io_done - t0;
   r.elapsed = flushed - t0;
-  r.bytes = shared.bytes;
-  r.requests = shared.requests;
-  r.avg_request_ms = shared.request_ms.mean();
+  r.bytes = tally.bytes;
+  r.requests = tally.requests;
+  r.avg_request_ms = tally.request_ms.mean();
   return r;
 }
 

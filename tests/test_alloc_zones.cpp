@@ -2,19 +2,21 @@
 //
 // bench_simcore, bench_cacheplane and bench_scale count every global
 // operator new over their measured windows, which covers the event engine,
-// the cache data plane and the stock serve path.  Four hot functions run
-// outside all three windows: fragment tagging and the Equation (3) return
-// estimate run only on iBridge clusters (bench_scale's window is stock),
-// the streaming classifier only in trace tools, and the batched tick step
-// only on the sharded core.  Each test below warms its function once, then
-// counts allocations over repeated calls with the same shared counter
-// (bench/alloc_count.hpp) and requires exactly zero.
+// the cache data plane and the stock serve path.  Five hot functions run
+// outside all three windows: fragment tagging, the Equation (3) return
+// estimate and the T-board broadcast run only on iBridge clusters
+// (bench_scale's window is stock), the streaming classifier only in trace
+// tools, and the batched tick step only on the sharded core.  Each test
+// below warms its function once, then counts allocations over repeated
+// calls with the same shared counter (bench/alloc_count.hpp) and requires
+// exactly zero.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "bench/alloc_count.hpp"
+#include "cluster/cluster.hpp"
 #include "core/return_estimator.hpp"
 #include "core/service_time.hpp"
 #include "core/tagger.hpp"
@@ -119,6 +121,25 @@ TEST(AllocZones, SimulatorStepTickIsAllocationFree) {
   }
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(fired, 11u * kTicks * kPerTick);
+}
+
+TEST(AllocZones, BoardBroadcastIsAllocationFree) {
+  const cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
+  const sim::SimTime interval = cfg.server.ibridge.t_report_interval;
+  constexpr int kBroadcasts = 100;
+  // An idle cluster: the board daemon (and the write-back daemon's empty
+  // wake-ups) are all that run.
+  cluster::Cluster c(cfg);
+  sim::Simulator& sim = c.sim();
+  sim.run_until(sim.now() + interval);  // warm: the first broadcast sizes
+                                        // every board
+  ASSERT_EQ(c.mds().board().size(),
+            static_cast<std::size_t>(cfg.data_servers));
+
+  const std::uint64_t a0 = bench::alloc_count();
+  sim.run_until(sim.now() + interval * kBroadcasts);
+  EXPECT_EQ(bench::alloc_count() - a0, 0u);
+  EXPECT_EQ(c.server(0).cache()->board(), c.mds().board());
 }
 
 }  // namespace
