@@ -3,22 +3,19 @@
 // Proves the three headline properties of the always-on observability
 // stack, and measures what they cost:
 //
-//   1. Accuracy/memory: QuantileSketch and Reservoir vs the exact
-//      Histogram over three adversarial sample streams (constant,
-//      bimodal latency, heavy-tail).  Sketch percentiles must land within
-//      the configured relative error (1/buckets_per_octave) of the exact
-//      answer while holding the 64 KiB per-metric budget; the reservoir
-//      must be exact while under capacity.  ns/sample for each backend
-//      goes into the wall section.
+//   1. Accuracy/memory: QuantileSketch vs the exact Histogram over three
+//      adversarial sample streams (constant, bimodal latency, heavy-tail).
+//      Sketch percentiles must land within the sketch's relative error
+//      (1/kBucketsPerOctave) of the exact answer while holding the 64 KiB
+//      per-metric budget.  ns/sample for both goes into the wall section.
 //
 //   2. Timeline identity: the unaligned Figure-3-style workload is run
 //      untraced, flight-recorded, fully traced, and with a SimProfiler
 //      attached — the simulated completion time must be byte-identical
 //      across all four (instrumentation never perturbs the model).
 //
-//   3. Parallel determinism: sketch-policy registries built under
-//      exp::Runner produce byte-identical CSV + digests at --jobs 1 and
-//      --jobs N.
+//   3. Parallel determinism: sketches built under exp::Runner produce
+//      byte-identical percentiles + digests at --jobs 1 and --jobs N.
 //
 //   bench_obs [--samples N] [--reps N] [--check]
 //
@@ -40,7 +37,6 @@
 #include "exp/gauge.hpp"
 #include "exp/runner.hpp"
 #include "mpiio/mpi.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/rng.hpp"
@@ -54,13 +50,10 @@ using ibridge::exp::Gauge;
 using ibridge::exp::Runner;
 using ibridge::exp::Stopwatch;
 using ibridge::obs::FlightConfig;
-using ibridge::obs::HistogramPolicy;
-using ibridge::obs::MetricsRegistry;
 using ibridge::obs::SimProfiler;
 using ibridge::obs::TraceSession;
 using ibridge::stats::Histogram;
 using ibridge::stats::QuantileSketch;
-using ibridge::stats::Reservoir;
 
 // ------------------------------------------------ adversarial streams ----
 
@@ -96,14 +89,11 @@ struct DistResult {
   double exact_p[3] = {};
   double sketch_p[3] = {};
   double sketch_rel_err = 0.0;  // worst observed across the percentiles
-  double reservoir_p50 = 0.0;
-  bool reservoir_exact = false;
   std::size_t sketch_bytes = 0;
   std::size_t exact_bytes = 0;
   std::uint64_t digest = 0;
   double ns_exact = 0.0;
   double ns_sketch = 0.0;
-  double ns_reservoir = 0.0;
 };
 
 DistResult measure_distribution(const Distribution& dist, std::int64_t n,
@@ -111,14 +101,12 @@ DistResult measure_distribution(const Distribution& dist, std::int64_t n,
   DistResult r;
   Histogram exact;
   QuantileSketch sketch;
-  Reservoir reservoir(/*capacity=*/static_cast<std::size_t>(n));
   {
     ibridge::sim::Rng rng(0xd15e);
     for (std::int64_t i = 0; i < n; ++i) {
       const double x = dist.draw(rng);
       exact.add(x);
       sketch.add(x);
-      reservoir.add(x);
     }
   }
   for (int p = 0; p < 3; ++p) {
@@ -130,8 +118,6 @@ DistResult measure_distribution(const Distribution& dist, std::int64_t n,
                            : std::abs(r.sketch_p[p] - r.exact_p[p]);
     if (err > r.sketch_rel_err) r.sketch_rel_err = err;
   }
-  r.reservoir_p50 = reservoir.percentile(50.0);
-  r.reservoir_exact = r.reservoir_p50 == exact.percentile(50.0);
   r.sketch_bytes = sketch.memory_bytes();
   r.exact_bytes = sizeof(Histogram) + exact.count() * sizeof(double);
   r.digest = sketch.digest();
@@ -152,13 +138,9 @@ DistResult measure_distribution(const Distribution& dist, std::int64_t n,
   };
   auto make_exact = [] { return Histogram(); };
   auto make_sketch = [] { return QuantileSketch(); };
-  auto make_reservoir = [n] {
-    return Reservoir(static_cast<std::size_t>(n < 4096 ? n : 4096));
-  };
   auto feed = [](auto& sink, double x) { sink.add(x); };
   r.ns_exact = time_adds(make_exact, feed);
   r.ns_sketch = time_adds(make_sketch, feed);
-  r.ns_reservoir = time_adds(make_reservoir, feed);
   return r;
 }
 
@@ -210,19 +192,22 @@ std::int64_t run_unaligned_ns(Mode mode) {
 
 // ---------------------------------------------- parallel determinism ----
 
-std::string sketch_csv_batch(int jobs) {
+std::string sketch_batch(int jobs) {
   Runner r(jobs);
   const auto cells = r.map<std::string>(6, [](int i) {
-    MetricsRegistry reg;
-    reg.set_default_histogram_policy(HistogramPolicy::kSketch);
+    QuantileSketch lat_ms, tail_ms;
     ibridge::sim::Rng rng(0xc0ffee + static_cast<std::uint64_t>(i));
     for (int k = 0; k < 20000; ++k) {
-      reg.histogram("lat_ms").add(draw_bimodal(rng));
-      reg.histogram("tail_ms").add(draw_heavy_tail(rng));
+      lat_ms.add(draw_bimodal(rng));
+      tail_ms.add(draw_heavy_tail(rng));
     }
     std::ostringstream os;
-    reg.write_csv(os);
-    return os.str() + "#" + std::to_string(reg.sketch_digest()) + "\n";
+    for (const QuantileSketch* sk : {&lat_ms, &tail_ms}) {
+      os << sk->count() << ',' << sk->mean();
+      for (const double p : kPercentiles) os << ',' << sk->percentile(p);
+      os << ',' << sk->max() << '#' << sk->digest() << '\n';
+    }
+    return os.str();
   });
   std::string all;
   for (const std::string& s : cells) all += s;
@@ -275,7 +260,7 @@ int main(int argc, char** argv) {
     const DistResult r = measure_distribution(dist, samples, reps);
     const bool within_err = r.sketch_rel_err <= budget_rel + 1e-12;
     const bool within_mem = r.sketch_bytes <= kMemoryBudget;
-    ok = ok && within_err && within_mem && r.reservoir_exact;
+    ok = ok && within_err && within_mem;
     std::printf(
         "  %-10s p99 exact %10.3f sketch %10.3f  rel-err %.5f  "
         "sketch %5zu B vs exact %8zu B  [%s]\n",
@@ -291,12 +276,10 @@ int main(int argc, char** argv) {
     g.set(p + "digest.lo", static_cast<double>(r.digest & 0xffffffffULL));
     g.set(p + "digest.hi", static_cast<double>(r.digest >> 32));
     g.set(p + "memory_ok", within_mem ? 1.0 : 0.0);
-    g.set(p + "reservoir_exact", r.reservoir_exact ? 1.0 : 0.0);
     g.set_wall(p + "bytes", static_cast<double>(r.sketch_bytes));
     g.set_wall(p + "exact_bytes", static_cast<double>(r.exact_bytes));
     g.set_wall(p + "ns_exact", r.ns_exact);
     g.set_wall(p + "ns_sketch", r.ns_sketch);
-    g.set_wall(p + "ns_reservoir", r.ns_reservoir);
   }
 
   // 2. Instrumentation must not perturb the simulated timeline.
@@ -317,11 +300,11 @@ int main(int argc, char** argv) {
   g.set("timeline.identical", timeline_ok ? 1.0 : 0.0);
 
   // 3. Sketch output is byte-identical across Runner worker counts.
-  const std::string serial = sketch_csv_batch(1);
-  const std::string parallel = sketch_csv_batch(Runner::default_jobs());
+  const std::string serial = sketch_batch(1);
+  const std::string parallel = sketch_batch(Runner::default_jobs());
   const bool jobs_ok = serial == parallel;
   ok = ok && jobs_ok;
-  std::printf("parallel determinism: jobs 1 vs %d sketch CSV %s\n",
+  std::printf("parallel determinism: jobs 1 vs %d sketches %s\n",
               Runner::default_jobs(), jobs_ok ? "identical [ok]" : "DIFFER");
   g.set("sketch.jobs_invariant", jobs_ok ? 1.0 : 0.0);
 

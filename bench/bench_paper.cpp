@@ -43,6 +43,7 @@
 #include "storage/ssd.hpp"
 #include "workloads/btio.hpp"
 #include "workloads/ior_mpi_io.hpp"
+#include "workloads/magnification.hpp"
 #include "workloads/mpi_io_test.hpp"
 #include "workloads/trace.hpp"
 
@@ -306,73 +307,23 @@ Figure fig2(const Scale& scale) {
 }
 
 // ------------------------------------------------------------ Figure 3 ----
-// The striping magnification effect.  A 16-process group synchronously
-// issues constant-size requests: k*64 KB (served by servers 0..k-1) versus
-// k*64 KB + 1 KB (the extra 1 KB fragment lands on server k).  A second
-// group concurrently reads random 64 KB segments from server k so the
-// fragment contends with real work.  Both variants run with and without a
-// barrier between iterations.  The paper's trend: the fragment's
-// throughput penalty grows with k.
-
-sim::Task<> fig3_requester(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                           std::int64_t req_size, std::int64_t iters,
-                           std::int64_t region, bool barrier,
-                           std::int64_t* bytes) {
-  for (std::int64_t k = 0; k < iters; ++k) {
-    const std::int64_t off =
-        (k * ctx.size() + ctx.rank()) * region % (8LL * kGB);
-    co_await file.read_at(ctx.rank(), off, req_size);
-    *bytes += req_size;
-    if (barrier) co_await ctx.barrier();
-  }
-}
-
-sim::Task<> fig3_interferer(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                            int target_server, std::int64_t iters,
-                            sim::Rng rng) {
-  // Random 64 KB reads that always land on `target_server`: stripe indices
-  // congruent to the target modulo the server count.
-  const std::int64_t unit = 64 * 1024;
-  const std::int64_t servers = 8;
-  for (std::int64_t k = 0; k < iters; ++k) {
-    const std::uint64_t stripe =
-        rng.below(10'000) * servers + static_cast<std::uint64_t>(target_server);
-    co_await file.read_at(ctx.rank(), static_cast<std::int64_t>(stripe) * unit,
-                          unit);
-  }
-}
+// The striping magnification effect (workloads/magnification.hpp): k*64 KB
+// requests (servers 0..k-1) versus k*64 KB + 1 KB (the fragment lands on
+// server k, where an interfering group reads), with and without a barrier
+// between iterations.  The paper's trend: the fragment's throughput penalty
+// grows with k.
 
 double fig3_mbps(const Scale& scale, int k, bool with_fragment, bool barrier) {
   cluster::Cluster c(cluster::ClusterConfig::stock());
-  auto fh = c.create_file("data", scale.file_bytes);
-  mpiio::MpiFile file(c.client(), fh);
-
-  const std::int64_t req =
-      static_cast<std::int64_t>(k) * 64 * 1024 + (with_fragment ? 1024 : 0);
-  // Requests are aligned to k-unit boundaries so they hit servers 0..k-1
-  // (+ server k for the fragment).
-  const std::int64_t region = static_cast<std::int64_t>(8) * 64 * 1024;
-  const std::int64_t iters =
-      std::max<std::int64_t>(1, scale.access_bytes / (16 * req) / 4);
-
-  std::int64_t bytes = 0;
-  mpiio::MpiEnvironment group(c.sim(), c.client(), 16);
-  mpiio::MpiEnvironment noise(c.sim(), c.client(), 4);
-  const sim::SimTime t0 = c.sim().now();
-  group.launch([&](mpiio::MpiContext ctx) {
-    return fig3_requester(ctx, file, req, iters, region, barrier, &bytes);
-  });
-  sim::Rng seed_gen(77);
-  noise.launch([&](mpiio::MpiContext ctx) {
-    return fig3_interferer(ctx, file, /*target_server=*/k % 8, iters * 2,
-                           seed_gen.fork());
-  });
-  c.sim().run_while_pending([&] { return group.finished(); });
-  const double secs = (c.sim().now() - t0).to_seconds();
-  // Let the interferers finish too: a request abandoned in flight leaves
-  // its detached sub-request frames behind when the cluster goes away.
-  c.sim().run_while_pending([&] { return noise.finished(); });
-  return static_cast<double>(bytes) / 1e6 / secs;
+  workloads::MagnificationConfig cfg;
+  cfg.k = k;
+  cfg.fragment = with_fragment;
+  cfg.barrier = barrier;
+  cfg.requests = std::max<std::int64_t>(
+      1, scale.access_bytes /
+             (16 * cfg.request_bytes(c.config().stripe_unit)) / 4);
+  cfg.file_bytes = 8 * kGB;
+  return workloads::run_magnification(c, cfg).mbps();
 }
 
 Figure fig3(const Scale& scale) {

@@ -73,7 +73,6 @@ struct CacheStats {
   std::uint64_t admit_by_class[kNumClasses] = {0, 0};
   Bytes writeback_bytes;          ///< dirty payload flushed back to the disk
   /// Distribution of Eq. (1-3) return estimates (ms) across served requests.
-  // lint: obs-bounded-ok (merged into the registry's bounded HistogramCell)
   stats::Histogram ret_estimate_ms;
 };
 
@@ -181,9 +180,8 @@ class IBridgeCache {
   bool note_region_access(const CacheRequest& r);
 
   /// First disk LBN the request would touch (lambda_i of Equation 1).
-  // lint: units-ok (LBNs are device sector addresses, not byte offsets)
   std::int64_t disk_lbn(const CacheRequest& r);
-  std::int64_t disk_end_lbn(const CacheRequest& r);  // lint: units-ok (LBN)
+  std::int64_t disk_end_lbn(const CacheRequest& r);
 
   /// Trim every cached entry overlapping [off, off+len) of `file`,
   /// releasing the freed log space.  Dirty data in the range is dropped —

@@ -45,7 +45,6 @@ class ReturnEstimator {
       : fragment_boost_(fragment_boost) {}
 
   /// Base return for any request (Eq. 1 minus Eq. 2).
-  // lint: units-ok (LBNs are device sector addresses, not byte offsets)
   static double base_return(const ServiceTimeModel& model, std::int64_t lbn,
                             Bytes bytes, storage::IoDirection dir) {
     return model.t_if_disk(lbn, bytes, dir) - model.t_if_ssd();
@@ -57,8 +56,7 @@ class ReturnEstimator {
   /// same order as the materialized list it replaced, so the arithmetic —
   /// including the skip of entries equal to `self` and n = sibling count —
   /// is unchanged.
-  ReturnEstimate estimate(const ServiceTimeModel& model,
-                          std::int64_t lbn,  // lint: units-ok (LBN)
+  ReturnEstimate estimate(const ServiceTimeModel& model, std::int64_t lbn,
                           Bytes bytes, storage::IoDirection dir,
                           bool is_fragment, ServerId self,
                           const SiblingSet& siblings,

@@ -34,7 +34,6 @@ class ServiceTimeModel {
   /// given the location of the last disk-served request.  The profile is
   /// direction-aware: discontinuous writes carry the measured surcharge
   /// (Table II's random-write weakness) and use the write streaming rate.
-  // lint: units-ok (LBNs are device sector addresses, not byte offsets)
   double predict_ms(std::int64_t lbn, Bytes bytes,
                     storage::IoDirection dir) const {
     const std::int64_t dist =
@@ -52,7 +51,7 @@ class ServiceTimeModel {
   }
 
   /// What T would become if this request were served at the disk (Eq. 1).
-  double t_if_disk(std::int64_t lbn, Bytes bytes,  // lint: units-ok (LBN)
+  double t_if_disk(std::int64_t lbn, Bytes bytes,
                    storage::IoDirection dir) const {
     return old_weight_ * t_ +
            (1.0 - old_weight_) * predict_ms(lbn, bytes, dir);
@@ -62,10 +61,8 @@ class ServiceTimeModel {
   double t_if_ssd() const { return t_; }
 
   /// Commit: the request was dispatched to the disk.
-  // lint: units-ok (LBNs are device sector addresses, not byte offsets)
-  void observe_disk(std::int64_t lbn, Bytes bytes,
-                    storage::IoDirection dir,
-                    std::int64_t end_lbn) {  // lint: units-ok (LBN)
+  void observe_disk(std::int64_t lbn, Bytes bytes, storage::IoDirection dir,
+                    std::int64_t end_lbn) {
     t_ = t_if_disk(lbn, bytes, dir);
     last_lbn_ = end_lbn;
   }
@@ -79,7 +76,7 @@ class ServiceTimeModel {
   storage::SeekProfile profile_;
   double old_weight_;
   double t_ = 0.0;
-  std::int64_t last_lbn_ = -1;  // lint: units-ok (LBN)
+  std::int64_t last_lbn_ = -1;
 };
 
 }  // namespace ibridge::core

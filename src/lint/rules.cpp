@@ -68,7 +68,6 @@ const std::map<std::string, std::string>& suppression_keys() {
       {"pointer-key-ok", "pointer-key"},
       {"rng-ok", "rng-construction"},
       {"wall-clock-ok", "wall-clock"},
-      {"obs-bounded-ok", "obs-bounded"},
   };
   return kKeys;
 }
@@ -361,7 +360,7 @@ bool unit_rule_applies(const std::string& rel) {
 void check_raw_unit_type(const SourceFile& f, Diags& out) {
   if (!unit_rule_applies(f.rel)) return;
   static const std::vector<std::string> kSuspicious = {
-      "off", "len", "byte", "size", "capacity", "quota", "server", "lbn"};
+      "off", "len", "byte", "size", "capacity", "quota", "server"};
   const auto& t = f.tokens;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (!(is_ident(t, i) &&
@@ -421,30 +420,6 @@ void check_ssd_fault_hook(const SourceFile& f, Diags& out) {
              "installing an SSD fault hook outside src/fault/ bypasses the "
              "deterministic fault engine; declare the fault in a "
              "FaultSchedule instead");
-    }
-  }
-}
-
-
-// -------------------------------------------------------- bounded metrics ----
-
-/// stats::Histogram keeps every sample — O(n) memory that grows for the
-/// whole run.  src/stats and src/obs own it (the sketch/reservoir backends
-/// and the registry's HistogramCell wrap it there); everywhere else in src/
-/// a distribution must go through MetricsRegistry::histogram(), whose
-/// per-metric policy can bound memory.  `// lint: obs-bounded-ok (reason)`
-/// escapes the rare deliberate exact accumulator.
-void check_obs_bounded(const SourceFile& f, Diags& out) {
-  if (!starts_with(f.rel, "src/")) return;
-  if (starts_with(f.rel, "src/stats/") || starts_with(f.rel, "src/obs/")) {
-    return;
-  }
-  for (const Token& tok : f.tokens) {
-    if (tok.kind == TokKind::kIdent && tok.text == "Histogram") {
-      report(out, f, tok.line, "obs-bounded",
-             "stats::Histogram stores every sample (unbounded); use "
-             "MetricsRegistry::histogram() so a bounded policy (sketch/"
-             "reservoir) can apply, or annotate obs-bounded-ok");
     }
   }
 }
@@ -592,7 +567,6 @@ const std::vector<RuleInfo>& rules() {
       {"raw-unit-type", "typed-core headers use Bytes/Offset/ServerId"},
       {"sim-callback", "event callbacks use sim::InlineEvent, not std::function"},
       {"ssd-fault-hook", "SSD fault hooks are installed only by src/fault/"},
-      {"obs-bounded", "exact stats::Histogram lives only in src/stats + src/obs"},
       {"lint-annotation", "suppressions need a known key and a reason"},
       {"shared-global", "no unannotated mutable globals or class statics"},
       {"static-local", "no unannotated static/thread_local function state"},
@@ -630,7 +604,6 @@ std::vector<Diagnostic> lint_corpus(const std::vector<SourceFile>& files) {
     check_raw_unit_type(f, raw);
     check_sim_callback(f, raw);
     check_ssd_fault_hook(f, raw);
-    check_obs_bounded(f, raw);
 
     std::vector<Suppression> sups;
     for (Annotation& a : parse_annotations(f)) {

@@ -6,36 +6,6 @@
 
 namespace ibridge::obs {
 
-HistogramCell& MetricsRegistry::histogram(const std::string& name) {
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  HistogramPolicy policy = default_policy_;
-  if (const auto ov = policy_overrides_.find(name);
-      ov != policy_overrides_.end()) {
-    policy = ov->second;
-  }
-  // Seed reservoirs from the metric name so per-metric sample choices are
-  // independent but reproducible.
-  std::uint64_t seed = 0x0b5e55edULL;
-  for (const char c : name) {
-    seed ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    seed = sim::splitmix64(seed);
-  }
-  return histograms_
-      .emplace(name, HistogramCell(policy, buckets_per_octave_,
-                                   reservoir_capacity_, seed))
-      .first->second;
-}
-
-void MetricsRegistry::set_histogram_policy(const std::string& name,
-                                           HistogramPolicy p) {
-  policy_overrides_[name] = p;
-  if (const auto it = histograms_.find(name);
-      it != histograms_.end() && it->second.count() == 0) {
-    histograms_.erase(it);  // recreated with the new policy on next use
-  }
-}
-
 std::vector<MetricRow> MetricsRegistry::flatten(
     std::vector<MetricKind>* kinds) const {
   struct Entry {
@@ -77,26 +47,6 @@ std::vector<MetricRow> MetricsRegistry::flatten(
     if (kinds) kinds->push_back(e.kind);
   }
   return rows;
-}
-
-std::size_t MetricsRegistry::histogram_memory_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [_, h] : histograms_) total += h.memory_bytes();
-  return total;
-}
-
-std::uint64_t MetricsRegistry::sketch_digest() const {
-  std::uint64_t h = 0;
-  for (const auto& [name, cell] : histograms_) {
-    const stats::QuantileSketch* sk = cell.sketch();
-    if (!sk) continue;
-    std::uint64_t s = sk->digest();
-    for (const char c : name) {
-      s ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    }
-    h ^= sim::splitmix64(s);
-  }
-  return h;
 }
 
 void MetricsRegistry::write_csv(std::ostream& os) const {

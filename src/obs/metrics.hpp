@@ -14,14 +14,11 @@
 // All storage is ordered (std::map) so iteration, flattening, and CSV output
 // are deterministic.
 //
-// Distributions go through HistogramCell, which dispatches on a per-metric
-// HistogramPolicy: kExact keeps every sample (stats::Histogram, exact
-// percentiles, O(n) memory), kSketch uses the bounded-memory
-// stats::QuantileSketch (guaranteed relative error, exact mergeable), and
-// kReservoir keeps a seeded fixed-size uniform sample.  The default policy
-// is kExact for compatibility; scale runs switch the registry default (or
-// individual metrics) to kSketch — see docs/OBSERVABILITY.md
-// "Bounded-memory mode".
+// Distributions are exact stats::Histograms: the one a run publishes,
+// cache.ret_estimate_ms, is already stored exactly by every cache, and its
+// Eq. (2)/(3) return estimates are signed, so a log-bucketed sketch would
+// fold every non-positive sample into one underflow bucket.  The bounded
+// always-on tails are the per-server stats::ServiceTimeMeter sketches.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +30,6 @@
 
 #include "sim/time.hpp"
 #include "stats/histogram.hpp"
-#include "stats/sketch.hpp"
 
 namespace ibridge::obs {
 
@@ -47,165 +43,6 @@ enum class MetricKind {
   kGauge,    ///< point-in-time value; "absent" means *unknown*, not zero
 };
 
-/// Storage policy for one distribution metric.
-enum class HistogramPolicy {
-  kExact,      ///< stats::Histogram — every sample kept, exact percentiles
-  kSketch,     ///< stats::QuantileSketch — O(1) memory, bounded rel. error
-  kReservoir,  ///< stats::Reservoir — fixed-size seeded uniform sample
-};
-
-/// One distribution metric behind MetricsRegistry::histogram().  Presents
-/// the add/merge/percentile surface of stats::Histogram but stores samples
-/// according to its policy, fixed at creation.
-class HistogramCell {
- public:
-  explicit HistogramCell(HistogramPolicy policy = HistogramPolicy::kExact,
-                         int buckets_per_octave = 100,
-                         std::size_t reservoir_capacity = 1024,
-                         std::uint64_t reservoir_seed = 0x0b5e55ed)
-      : policy_(policy),
-        sketch_(buckets_per_octave),
-        reservoir_(reservoir_capacity, reservoir_seed) {}
-
-  HistogramPolicy policy() const { return policy_; }
-
-  void add(double x) {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        exact_.add(x);
-        break;
-      case HistogramPolicy::kSketch:
-        sketch_.add(x);
-        break;
-      case HistogramPolicy::kReservoir:
-        reservoir_.add(x);
-        break;
-    }
-  }
-
-  /// Fold a component-side exact histogram into this cell (the
-  /// collect_metrics publication path).  Under kExact this is
-  /// Histogram::merge; bounded policies re-feed the samples one by one.
-  void merge(const stats::Histogram& h) {
-    if (policy_ == HistogramPolicy::kExact) {
-      exact_.merge(h);
-      return;
-    }
-    for (const double x : h.samples()) add(x);
-  }
-
-  std::uint64_t count() const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return exact_.count();
-      case HistogramPolicy::kSketch:
-        return sketch_.count();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.count();
-    }
-    return 0;
-  }
-
-  double mean() const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return exact_.mean();
-      case HistogramPolicy::kSketch:
-        return sketch_.mean();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.mean();
-    }
-    return 0.0;
-  }
-
-  double min() const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return exact_.min();
-      case HistogramPolicy::kSketch:
-        return sketch_.min();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.min();
-    }
-    return 0.0;
-  }
-
-  double max() const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return exact_.max();
-      case HistogramPolicy::kSketch:
-        return sketch_.max();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.max();
-    }
-    return 0.0;
-  }
-
-  double sum() const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return exact_.sum();
-      case HistogramPolicy::kSketch:
-        return sketch_.sum();
-      case HistogramPolicy::kReservoir:
-        return reservoir_.sum();
-    }
-    return 0.0;
-  }
-
-  double percentile(double p) const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return exact_.percentile(p);
-      case HistogramPolicy::kSketch:
-        return sketch_.percentile(p);
-      case HistogramPolicy::kReservoir:
-        return reservoir_.percentile(p);
-    }
-    return 0.0;
-  }
-
-  double median() const { return percentile(50.0); }
-
-  /// Heap bytes this cell holds — O(samples) under kExact, O(1) otherwise
-  /// (bench_obs --check asserts the bound).
-  std::size_t memory_bytes() const {
-    switch (policy_) {
-      case HistogramPolicy::kExact:
-        return sizeof(*this) + exact_.count() * sizeof(double);
-      case HistogramPolicy::kSketch:
-        return sizeof(*this) + sketch_.memory_bytes();
-      case HistogramPolicy::kReservoir:
-        return sizeof(*this) + reservoir_.memory_bytes();
-    }
-    return sizeof(*this);
-  }
-
-  void clear() {
-    exact_.clear();
-    sketch_.clear();
-    reservoir_.clear();
-  }
-
-  /// Typed views; null unless the matching policy is active.
-  const stats::Histogram* exact() const {
-    return policy_ == HistogramPolicy::kExact ? &exact_ : nullptr;
-  }
-  const stats::QuantileSketch* sketch() const {
-    return policy_ == HistogramPolicy::kSketch ? &sketch_ : nullptr;
-  }
-  const stats::Reservoir* reservoir() const {
-    return policy_ == HistogramPolicy::kReservoir ? &reservoir_ : nullptr;
-  }
-
- private:
-  HistogramPolicy policy_;
-  stats::Histogram exact_;
-  stats::QuantileSketch sketch_;
-  stats::Reservoir reservoir_;
-};
-
 class MetricsRegistry {
  public:
   /// Monotonic event count; created at zero on first use.
@@ -214,25 +51,10 @@ class MetricsRegistry {
   /// Point-in-time value; created at zero on first use.
   double& gauge(const std::string& name) { return gauges_[name]; }
 
-  /// Value distribution with percentiles; created empty on first use with
-  /// the per-name policy override if one was set, else the registry
-  /// default.
-  HistogramCell& histogram(const std::string& name);
-
-  /// Policy for histograms created after this call (existing non-empty
-  /// cells keep their storage; existing *empty* cells are re-created).
-  void set_default_histogram_policy(HistogramPolicy p) {
-    default_policy_ = p;
+  /// Value distribution with exact percentiles; created empty on first use.
+  stats::Histogram& histogram(const std::string& name) {
+    return histograms_[name];
   }
-  HistogramPolicy default_histogram_policy() const { return default_policy_; }
-
-  /// Per-metric override, same re-creation rule as the default.
-  void set_histogram_policy(const std::string& name, HistogramPolicy p);
-
-  /// Sketch resolution / reservoir size for subsequently created cells.
-  void set_sketch_buckets_per_octave(int b) { buckets_per_octave_ = b; }
-  int sketch_buckets_per_octave() const { return buckets_per_octave_; }
-  void set_reservoir_capacity(std::size_t n) { reservoir_capacity_ = n; }
 
   bool has(const std::string& name) const {
     return counters_.count(name) != 0 || gauges_.count(name) != 0 ||
@@ -243,7 +65,7 @@ class MetricsRegistry {
     return counters_;
   }
   const std::map<std::string, double>& gauges() const { return gauges_; }
-  const std::map<std::string, HistogramCell>& histograms() const {
+  const std::map<std::string, stats::Histogram>& histograms() const {
     return histograms_;
   }
 
@@ -252,11 +74,6 @@ class MetricsRegistry {
   /// filled parallel to the result: counters and histogram .count rows are
   /// kCounter, everything else kGauge.
   std::vector<MetricRow> flatten(std::vector<MetricKind>* kinds = nullptr) const;
-
-  /// Total heap bytes held by histogram cells plus a stable fingerprint of
-  /// every sketch-backed cell (0 when none) — the bench_obs hooks.
-  std::size_t histogram_memory_bytes() const;
-  std::uint64_t sketch_digest() const;
 
   /// Two-column "name,value" CSV of flatten().
   void write_csv(std::ostream& os) const;
@@ -270,11 +87,7 @@ class MetricsRegistry {
  private:
   std::map<std::string, std::int64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, HistogramCell> histograms_;
-  std::map<std::string, HistogramPolicy> policy_overrides_;
-  HistogramPolicy default_policy_ = HistogramPolicy::kExact;
-  int buckets_per_octave_ = 100;
-  std::size_t reservoir_capacity_ = 1024;
+  std::map<std::string, stats::Histogram> histograms_;
 };
 
 /// Periodic snapshots of a metric set: one row per sample time, one column

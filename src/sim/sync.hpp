@@ -255,47 +255,6 @@ class Semaphore {
   detail::HandleRing waiters_;  ///< FIFO; ring, so contention never allocates
 };
 
-/// Unbounded SPSC/MPSC channel: producers push, one consumer awaits pop.
-template <typename T>
-class Channel {
- public:
-  explicit Channel(Simulator& sim) : sim_(sim) {}
-
-  void push(T v) {
-    items_.push_back(std::move(v));
-    if (waiter_) {
-      auto h = std::exchange(waiter_, nullptr);
-      sim_.defer([h] { h.resume(); });
-    }
-  }
-
-  struct PopAwaiter {
-    Channel& c;
-    bool await_ready() const noexcept { return !c.items_.empty(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      assert(!c.waiter_ && "Channel supports a single concurrent consumer");
-      c.waiter_ = h;
-    }
-    T await_resume() {
-      assert(!c.items_.empty());
-      T v = std::move(c.items_.front());
-      c.items_.pop_front();
-      return v;
-    }
-  };
-
-  /// `co_await ch.pop()` — wait for and take the next item.
-  PopAwaiter pop() { return PopAwaiter{*this}; }
-
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-
- private:
-  Simulator& sim_;
-  std::deque<T> items_;
-  std::coroutine_handle<> waiter_ = nullptr;
-};
-
 /// Owns a set of top-level coroutines and tracks their completion.
 /// Top-level simulation actors are spawned here; the group keeps their frames
 /// alive until they finish (finished frames at the front are reaped on the

@@ -27,7 +27,7 @@ inline const char* to_string(IoDirection d) {
 struct BlockTraceEntry {
   sim::SimTime dispatch_time;
   IoDirection dir;
-  std::int64_t lbn;         // lint: units-ok (LBNs are sector addresses, not byte offsets)
+  std::int64_t lbn;         // first 512 B sector
   std::int64_t sectors;     // length in 512 B sectors
   sim::SimTime service;     // modelled device service time
 };
@@ -42,7 +42,6 @@ class BlockTraceRecorder {
   /// histograms are always maintained).
   void set_keep_entries(bool on) { keep_entries_ = on; }
 
-  // lint: units-ok (LBN parameter below is a sector address)
   void record(sim::SimTime when, IoDirection dir, std::int64_t lbn,
               sim::Bytes bytes, sim::SimTime service) {
     if (!enabled_) return;

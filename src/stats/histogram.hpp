@@ -58,8 +58,8 @@ class Summary {
 
 /// Sample-keeping distribution with exact percentiles.  Unlike Summary it
 /// stores every observation (sorted lazily), so it answers any quantile
-/// exactly — used for return-estimate and latency distributions in the
-/// observability metrics registry, where sample counts stay modest.
+/// exactly — used for the caches' return-estimate distributions and the
+/// metrics registry's histograms, where sample counts stay modest.
 class Histogram {
  public:
   void add(double x) {
@@ -75,15 +75,10 @@ class Histogram {
   double sum() const { return moments_.sum(); }
   const Summary& summary() const { return moments_; }
 
-  /// Percentile estimation method.  kNearestRank is the historical default
-  /// (ceil(p/100 * n)-th order statistic); kLinear interpolates between the
-  /// two bracketing order statistics (the "R-7" convention used by numpy's
-  /// default percentile), which is smoother for small n.
-  enum class Interp { kNearestRank, kLinear };
-
-  /// Percentile, `p` in [0, 100].  Returns 0 when empty, the sole sample
-  /// when count()==1, min() for p<=0 and max() for p>=100.
-  double percentile(double p, Interp interp = Interp::kNearestRank) const {
+  /// Nearest-rank percentile (the ceil(p/100 * n)-th order statistic), `p`
+  /// in [0, 100].  Returns 0 when empty, the sole sample when count()==1,
+  /// min() for p<=0 and max() for p>=100.
+  double percentile(double p) const {
     if (samples_.empty()) return 0.0;
     if (!sorted_) {
       std::sort(samples_.begin(), samples_.end());
@@ -91,25 +86,12 @@ class Histogram {
     }
     if (p <= 0.0) return samples_.front();
     if (p >= 100.0) return samples_.back();
-    if (interp == Interp::kLinear) {
-      const double h =
-          p / 100.0 * static_cast<double>(samples_.size() - 1);
-      const auto lo = static_cast<std::size_t>(std::floor(h));
-      const auto hi = std::min(lo + 1, samples_.size() - 1);
-      const double frac = h - static_cast<double>(lo);
-      return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-    }
     const auto n = static_cast<double>(samples_.size());
     const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
     return samples_[rank == 0 ? 0 : rank - 1];
   }
 
   double median() const { return percentile(50.0); }
-
-  /// The raw observations.  Sorted ascending if a percentile has been asked
-  /// since the last add/merge, otherwise in insertion order — callers that
-  /// need a specific order must not rely on it.
-  const std::vector<double>& samples() const { return samples_; }
 
   void merge(const Histogram& o) {
     samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());

@@ -1,57 +1,16 @@
-// Throughput and service-time meters scraped by the benchmark harness.
+// Per-request service-time meter scraped by the benchmark harness.
 #pragma once
 
 #include "sim/time.hpp"
-#include "sim/units.hpp"
 #include "stats/histogram.hpp"
 #include "stats/sketch.hpp"
 
 namespace ibridge::stats {
 
-/// Measures aggregate data volume over a simulated interval.
-class ThroughputMeter {
- public:
-  void start(sim::SimTime now) {
-    start_ = now;
-    stop_ = now;
-    bytes_ = sim::Bytes::zero();
-    running_ = true;
-  }
-  void add_bytes(sim::Bytes b) { bytes_ += b; }
-  void stop(sim::SimTime now) {
-    stop_ = now;
-    running_ = false;
-  }
-
-  /// True between start() and stop().
-  bool running() const { return running_; }
-
-  sim::Bytes bytes() const { return bytes_; }
-
-  /// Measured interval.  Zero until stop() has been called — while the
-  /// meter is still running (or was never started) there is no defensible
-  /// elapsed value, and `stop_ - start_` of default-constructed SimTimes
-  /// would be meaningless.
-  sim::SimTime elapsed() const {
-    return running_ ? sim::SimTime::zero() : stop_ - start_;
-  }
-
-  /// MB/s with MB = 10^6 bytes (matching the paper's figures).
-  double mbps() const {
-    const double secs = elapsed().to_seconds();
-    return secs > 0 ? static_cast<double>(bytes_.count()) / 1e6 / secs : 0.0;
-  }
-
- private:
-  sim::SimTime start_;
-  sim::SimTime stop_;
-  sim::Bytes bytes_;
-  bool running_ = false;
-};
-
 /// Per-request service-time accumulator (Table III replay metric).  Tail
 /// latencies come from a bounded QuantileSketch, so per-server p50/p99 are
-/// always on at O(1) memory per server regardless of request count.
+/// always on at O(1) memory per server regardless of request count; the
+/// sketch's own moments give the count and mean.
 class ServiceTimeMeter {
  public:
   // The meter sits on the serve path of every request, so its sketch takes
@@ -60,20 +19,15 @@ class ServiceTimeMeter {
   // steady-state gate counts that as serve-path churn).
   ServiceTimeMeter() { sketch_.reserve_full(); }
 
-  void add(sim::SimTime t) {
-    const double ms = t.to_millis();
-    ms_.add(ms);
-    sketch_.add(ms);
-  }
-  double mean_ms() const { return ms_.mean(); }
+  void add(sim::SimTime t) { sketch_.add(t.to_millis()); }
+  double mean_ms() const { return sketch_.mean(); }
   double p50_ms() const { return sketch_.percentile(50.0); }
   double p99_ms() const { return sketch_.percentile(99.0); }
-  std::uint64_t count() const { return ms_.count(); }
-  const Summary& summary() const { return ms_; }
+  std::uint64_t count() const { return sketch_.count(); }
+  const Summary& summary() const { return sketch_.summary(); }
   const QuantileSketch& sketch() const { return sketch_; }
 
  private:
-  Summary ms_;
   QuantileSketch sketch_;
 };
 

@@ -1,31 +1,22 @@
-// Bounded-memory quantile estimators for always-on observability.
+// Bounded-memory quantile estimator for always-on observability.
 //
 // stats::Histogram keeps every sample, so its memory grows O(observations) —
-// fine for a few thousand return estimates, fatal for the million-rank scale
-// campaign (ROADMAP).  This header provides the two bounded alternatives the
-// MetricsRegistry histogram policy dispatches to:
+// fine for a few thousand return estimates, fatal for a per-server meter on
+// the serve path of a million-rank run.  QuantileSketch is a DDSketch-style
+// log-bucketed sketch with a *guaranteed* relative error and O(1) worst-case
+// memory.  Unlike the textbook DDSketch it maps values to buckets with a
+// piecewise-linear log2 approximation built from frexp/ldexp/floor only.
+// Every operation is an exactly-rounded IEEE primitive, so bucket indices —
+// and therefore digests, merges, and quantile answers — are bit-identical
+// across platforms and libm versions (the bench-diff baselines rely on this;
+// std::log is *not* correctly rounded everywhere).
 //
-//   QuantileSketch — a DDSketch-style log-bucketed sketch with a *guaranteed*
-//     relative error and O(1) worst-case memory.  Unlike the textbook
-//     DDSketch it is parameterized by an integer buckets-per-octave count and
-//     maps values to buckets with a piecewise-linear log2 approximation built
-//     from frexp/ldexp/floor only.  Every operation is an exactly-rounded
-//     IEEE primitive, so bucket indices — and therefore digests, merges, and
-//     quantile answers — are bit-identical across platforms and libm
-//     versions (the bench-diff baselines rely on this; std::log is *not*
-//     correctly rounded everywhere).
-//
-//   Reservoir — classic Algorithm R uniform sampling, seeded from sim::Rng,
-//     as the fallback when the value distribution is pathological for log
-//     buckets (e.g. signed deltas centered on zero).
-//
-// Both are deterministic functions of their input sequence and both merge:
+// The sketch is a deterministic function of its input sequence, and
 // QuantileSketch::merge is *exact* and associative on the bucket counts
-// (integer sums), which is what future per-shard registries need.
+// (integer sums), so per-server sketches fold into one in any order.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -35,13 +26,14 @@
 
 namespace ibridge::stats {
 
-/// Log-bucketed quantile sketch with relative error <= 1/buckets_per_octave.
+/// Log-bucketed quantile sketch with relative error <= 1/kBucketsPerOctave.
 ///
 /// Mapping: a positive value x = m * 2^e (frexp, m in [0.5, 1)) has
 /// approx_log2(x) = (e - 1) + (2m - 1), the piecewise-linear interpolation of
-/// log2 that is exact at powers of two.  Bucket i covers
-/// approx_log2(x) * B in [i, i+1); its representative value is the midpoint
-/// mapped back through the (monotone, exactly invertible) approximation.
+/// log2 that is exact at powers of two.  With B = kBucketsPerOctave, bucket
+/// i covers approx_log2(x) * B in [i, i+1); its representative value is the
+/// midpoint mapped back through the (monotone, exactly invertible)
+/// approximation.
 /// Within one bucket, |x - x_hat| <= 2^k * 0.5/B while x >= 2^k, so the
 /// answer is within 1/B of the true quantile *value* — the DDSketch
 /// guarantee, achieved with exact float ops only.
@@ -57,15 +49,11 @@ class QuantileSketch {
   static constexpr int kMinExp = -20;  ///< ~1e-6: below = underflow
   static constexpr int kMaxExp = 40;   ///< ~1e12: above = overflow
 
-  explicit QuantileSketch(int buckets_per_octave = 100)
-      : per_octave_(buckets_per_octave) {
-    assert(per_octave_ >= 1 && per_octave_ <= 4096);
-  }
+  static constexpr int kBucketsPerOctave = 100;
 
   /// Guaranteed worst-case relative error of percentile() for in-range
-  /// values: 1 / buckets_per_octave.
-  double relative_error() const { return 1.0 / per_octave_; }
-  int buckets_per_octave() const { return per_octave_; }
+  /// values: 1 / kBucketsPerOctave.
+  static constexpr double relative_error() { return 1.0 / kBucketsPerOctave; }
 
   void add(double x) {
     moments_.add(x);
@@ -114,7 +102,6 @@ class QuantileSketch {
   /// and commutative (the moments' mean/variance merge in floating point and
   /// are not — quantiles and digests never depend on them).
   void merge(const QuantileSketch& o) {
-    assert(per_octave_ == o.per_octave_ && "merging incompatible sketches");
     underflow_ += o.underflow_;
     overflow_ += o.overflow_;
     for (const Bucket& b : o.buckets_) bump(b.index, b.count);
@@ -128,13 +115,13 @@ class QuantileSketch {
   }
 
   /// Preallocate the worst-case bucket footprint — (kMaxExp - kMinExp) *
-  /// buckets_per_octave entries — so add() never reallocates, no matter
+  /// kBucketsPerOctave entries — so add() never reallocates, no matter
   /// which indices the stream discovers.  Opted into by always-on hot-path
   /// meters (the scale campaign's zero-allocs-per-request serve gate);
-  /// registry metrics stay lazily sized at a few hundred bytes.
+  /// other sketches stay lazily sized at a few hundred bytes.
   void reserve_full() {
     buckets_.reserve(static_cast<std::size_t>(kMaxExp - kMinExp) *
-                     static_cast<std::size_t>(per_octave_));
+                     static_cast<std::size_t>(kBucketsPerOctave));
   }
 
   std::size_t bucket_count() const { return buckets_.size(); }
@@ -149,7 +136,8 @@ class QuantileSketch {
   /// sketches that merged the same multiset of observations in any order
   /// have equal digests — the proof hook for --jobs determinism.
   std::uint64_t digest() const {
-    std::uint64_t s = 0x6f62735fULL + static_cast<std::uint64_t>(per_octave_);
+    std::uint64_t s =
+        0x6f62735fULL + static_cast<std::uint64_t>(kBucketsPerOctave);
     std::uint64_t h = sim::splitmix64(s);
     const auto mix = [&](std::uint64_t v) {
       s ^= v;
@@ -180,14 +168,14 @@ class QuantileSketch {
     const double m = std::frexp(x, &e);  // x = m * 2^e, m in [0.5, 1)
     const double approx = static_cast<double>(e - 1) + (2.0 * m - 1.0);
     return static_cast<std::int32_t>(
-        std::floor(approx * static_cast<double>(per_octave_)));
+        std::floor(approx * static_cast<double>(kBucketsPerOctave)));
   }
 
   /// Inverse map of the bucket midpoint: u = (i + 0.5) / B lives in octave
   /// k = floor(u); x = (u - k + 1) * 2^k.
   double value_of(std::int32_t i) const {
     const double u = (static_cast<double>(i) + 0.5) /
-                     static_cast<double>(per_octave_);
+                     static_cast<double>(kBucketsPerOctave);
     const double k = std::floor(u);
     return std::ldexp(u - k + 1.0, static_cast<int>(k));
   }
@@ -203,90 +191,9 @@ class QuantileSketch {
     buckets_.insert(it, Bucket{index, by});
   }
 
-  int per_octave_;
   std::vector<Bucket> buckets_;  ///< sorted by index
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
-  Summary moments_;
-};
-
-/// Fixed-capacity uniform sample of a stream (Algorithm R), seeded from
-/// sim::Rng so runs are reproducible.  Quantiles are nearest-rank over the
-/// kept sample — approximate with no distribution assumptions, the fallback
-/// for metrics whose values log buckets handle poorly (signed deltas,
-/// zero-heavy series).
-class Reservoir {
- public:
-  explicit Reservoir(std::size_t capacity = 1024,
-                     std::uint64_t seed = 0x0b5e55ed)
-      : capacity_(capacity == 0 ? 1 : capacity), rng_(seed) {}
-
-  void add(double x) {
-    moments_.add(x);
-    const std::uint64_t i = moments_.count() - 1;
-    if (kept_.size() < capacity_) {
-      kept_.push_back(x);
-      return;
-    }
-    const std::uint64_t j = rng_.below(i + 1);
-    if (j < capacity_) kept_[static_cast<std::size_t>(j)] = x;
-  }
-
-  std::uint64_t count() const { return moments_.count(); }
-  double sum() const { return moments_.sum(); }
-  double mean() const { return moments_.mean(); }
-  double min() const { return moments_.min(); }
-  double max() const { return moments_.max(); }
-  const Summary& summary() const { return moments_; }
-  std::size_t capacity() const { return capacity_; }
-  std::size_t kept() const { return kept_.size(); }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) + kept_.capacity() * sizeof(double);
-  }
-
-  /// Nearest-rank percentile over the kept sample (conventions match
-  /// Histogram::percentile).  Exact while count() <= capacity.
-  double percentile(double p) const {
-    if (kept_.empty()) return 0.0;
-    std::vector<double> s(kept_);
-    std::sort(s.begin(), s.end());
-    if (p <= 0.0) return s.front();
-    if (p >= 100.0) return s.back();
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(s.size())));
-    return s[rank == 0 ? 0 : rank - 1];
-  }
-
-  double median() const { return percentile(50.0); }
-
-  /// Deterministic but approximate: the other reservoir's kept samples are
-  /// re-fed through Algorithm R (they re-compete for slots).  Unlike
-  /// QuantileSketch::merge this is order-sensitive by construction.
-  void merge(const Reservoir& o) {
-    const std::uint64_t before = moments_.count();
-    for (std::size_t k = 0; k < o.kept_.size(); ++k) {
-      const double x = o.kept_[k];
-      const std::uint64_t i = before + static_cast<std::uint64_t>(k);
-      if (kept_.size() < capacity_) {
-        kept_.push_back(x);
-      } else {
-        const std::uint64_t j = rng_.below(i + 1);
-        if (j < capacity_) kept_[static_cast<std::size_t>(j)] = x;
-      }
-    }
-    moments_.merge(o.moments_);
-  }
-
-  void clear() {
-    kept_.clear();
-    moments_ = {};
-  }
-
- private:
-  std::size_t capacity_;
-  sim::Rng rng_;
-  std::vector<double> kept_;
   Summary moments_;
 };
 

@@ -13,7 +13,7 @@ inline double elapsed_time(int) { return 0.0; }  // not the C time()
 
 struct Clean {
   std::map<int, int> ordered_;  // ordered iteration is fine
-  std::int64_t disk_lbn_ = 0;   // lint: units-ok (device sector address)
+  std::int64_t disk_lbn_ = 0;   // a sector address, not a byte count
 
   int sum() const {
     int s = 0;

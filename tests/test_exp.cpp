@@ -19,8 +19,8 @@
 #include "exp/cli.hpp"
 #include "exp/gauge.hpp"
 #include "exp/runner.hpp"
-#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
+#include "stats/sketch.hpp"
 
 namespace ibridge::exp {
 namespace {
@@ -124,23 +124,25 @@ TEST(Runner, ProgressSnapshotsArriveOnCallingThread) {
 }
 
 TEST(Runner, SketchMetricOutputIsJobCountInvariant) {
-  // Bounded-memory metrics keep the headline guarantee: a sketch-policy
-  // registry fed per-job deterministic streams produces byte-identical CSV
-  // and digests whatever the worker count.
+  // Bounded-memory metrics keep the headline guarantee: sketches fed
+  // per-job deterministic streams produce byte-identical percentiles and
+  // digests whatever the worker count.
   auto build = [](int jobs) {
     Runner r(jobs);
     const auto cells = r.map<std::string>(6, [](int i) {
-      obs::MetricsRegistry reg;
-      reg.set_default_histogram_policy(obs::HistogramPolicy::kSketch);
+      stats::QuantileSketch lat_ms, bytes;
       sim::Rng rng(0xC0FFEEu + static_cast<std::uint64_t>(i));
       for (int k = 0; k < 5000; ++k) {
-        reg.histogram("lat_ms").add(0.25 + 40.0 * rng.uniform01());
-        reg.histogram("bytes").add(
-            static_cast<double>(1 + rng.below(1 << 20)));
+        lat_ms.add(0.25 + 40.0 * rng.uniform01());
+        bytes.add(static_cast<double>(1 + rng.below(1 << 20)));
       }
       std::ostringstream os;
-      reg.write_csv(os);
-      return os.str() + "#" + std::to_string(reg.sketch_digest()) + "\n";
+      for (const stats::QuantileSketch* sk : {&lat_ms, &bytes}) {
+        os << sk->count() << ',' << sk->mean() << ',' << sk->percentile(50.0)
+           << ',' << sk->percentile(99.0) << ',' << sk->max() << '#'
+           << sk->digest() << '\n';
+      }
+      return os.str();
     });
     std::string all;
     for (const std::string& s : cells) all += s;

@@ -67,7 +67,6 @@ const std::vector<FixtureCase>& cases() {
       {"raw_unit.cc", "src/core/fixture_raw.hpp", "raw-unit-type"},
       {"sim_callback.cc", "src/core/fixture_simcb.cpp", "sim-callback"},
       {"ssd_fault.cc", "src/core/fixture_fault.cpp", "ssd-fault-hook"},
-      {"obs_bounded.cc", "src/core/fixture_obsb.cpp", "obs-bounded"},
       {"suppression_no_reason.cc", "src/core/fixture_s1.hpp",
        "lint-annotation"},
       {"suppression_unknown.cc", "src/core/fixture_s2.hpp",

@@ -2,7 +2,9 @@
 // and the zero-cost-when-disabled guarantee at cluster level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,8 +15,8 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/mpi_io_test.hpp"
 
 namespace ibridge::obs {
 namespace {
@@ -248,72 +250,6 @@ TEST(TimeSeries, LateGaugeColumnsBackfillEmptyNotZero) {
   EXPECT_NE(csv.find("20,4,3.5\n"), std::string::npos);
 }
 
-TEST(MetricsRegistry, SketchPolicyBoundsMemoryWithinRelativeError) {
-  MetricsRegistry reg;
-  reg.set_default_histogram_policy(HistogramPolicy::kSketch);
-  stats::Histogram exact;
-  sim::Rng rng(11);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = (i % 3 == 0) ? 100.0 + 10.0 * rng.uniform01()
-                                  : 1.0 + rng.uniform01();
-    reg.histogram("lat_ms").add(x);
-    exact.add(x);
-  }
-  const HistogramCell& cell = reg.histogram("lat_ms");
-  EXPECT_EQ(cell.policy(), HistogramPolicy::kSketch);
-  ASSERT_NE(cell.sketch(), nullptr);
-  EXPECT_EQ(cell.exact(), nullptr);
-  const double rel = cell.sketch()->relative_error();
-  for (const double p : {50.0, 95.0, 99.0}) {
-    const double e = exact.percentile(p);
-    EXPECT_NEAR(cell.percentile(p), e, e * rel + 1e-12) << "p" << p;
-  }
-  EXPECT_EQ(cell.count(), 20000u);
-  EXPECT_LE(reg.histogram_memory_bytes(), 64u * 1024u)
-      << "bounded policy must hold the per-metric budget";
-  EXPECT_NE(reg.sketch_digest(), 0u);
-
-  // Flatten still expands sketch-backed cells to the same six rows.
-  const auto rows = reg.flatten();
-  ASSERT_EQ(rows.size(), 6u);
-  EXPECT_EQ(rows[0].first, "lat_ms.count");
-  EXPECT_EQ(rows[5].first, "lat_ms.p99");
-}
-
-TEST(MetricsRegistry, PerMetricPolicyOverrideAndDeterministicDigest) {
-  MetricsRegistry a, b;
-  for (MetricsRegistry* reg : {&a, &b}) {
-    reg->set_histogram_policy("tail_ms", HistogramPolicy::kSketch);
-    reg->set_histogram_policy("sample_ms", HistogramPolicy::kReservoir);
-    for (int i = 0; i < 1000; ++i) {
-      reg->histogram("tail_ms").add(1.0 + (i % 7));
-      reg->histogram("sample_ms").add(2.0 * (i % 5));
-      reg->histogram("exact_ms").add(3.0);
-    }
-  }
-  EXPECT_EQ(a.histogram("tail_ms").policy(), HistogramPolicy::kSketch);
-  EXPECT_EQ(a.histogram("sample_ms").policy(), HistogramPolicy::kReservoir);
-  EXPECT_EQ(a.histogram("exact_ms").policy(), HistogramPolicy::kExact)
-      << "the default stays exact unless overridden";
-  // Identical feeds give identical fingerprints; reservoirs are seeded so
-  // even the sampled cell agrees row for row.
-  EXPECT_EQ(a.sketch_digest(), b.sketch_digest());
-  EXPECT_DOUBLE_EQ(a.histogram("sample_ms").percentile(95.0),
-                   b.histogram("sample_ms").percentile(95.0));
-  a.histogram("tail_ms").add(123456.0);
-  EXPECT_NE(a.sketch_digest(), b.sketch_digest());
-
-  // The component publication path re-feeds exact histograms into bounded
-  // cells sample by sample.
-  stats::Histogram component;
-  for (int i = 1; i <= 100; ++i) component.add(static_cast<double>(i));
-  MetricsRegistry c;
-  c.set_default_histogram_policy(HistogramPolicy::kSketch);
-  c.histogram("merged").merge(component);
-  EXPECT_EQ(c.histogram("merged").count(), 100u);
-  EXPECT_NEAR(c.histogram("merged").percentile(50.0), 50.0, 50.0 * 0.01 + 1e-12);
-}
-
 // ---- flight recorder (unit level) ----
 
 TEST(FlightRecorder, RetainsSlowestAndSampledDeterministically) {
@@ -521,6 +457,41 @@ TEST(ClusterTracing, SpanTreeCoversEveryLayer) {
     EXPECT_EQ(b.subs.size(), 2u);
     EXPECT_GT(b.total, sim::SimTime::zero());
   }
+}
+
+TEST(ClusterMetrics, ReturnEstimatesMergeEveryServer) {
+  // cache.ret_estimate_ms is the one distribution a run publishes: the
+  // registry's histogram must hold exactly the Eq. (2)/(3) estimates every
+  // server's cache recorded.
+  cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
+  workloads::MpiIoTestConfig cfg;
+  cfg.nprocs = 8;
+  cfg.request_size = 65 * 1024;  // unaligned: every request leaves a fragment
+  cfg.file_bytes = 64LL << 20;
+  cfg.access_bytes = 4LL << 20;
+  cfg.write = true;
+  workloads::run_mpi_io_test(c, cfg);
+
+  std::uint64_t count = 0;
+  double max = 0.0;
+  int servers_with_samples = 0;
+  for (int i = 0; i < c.server_count(); ++i) {
+    const stats::Histogram& h = c.server(i).cache()->stats().ret_estimate_ms;
+    if (h.count() == 0) continue;
+    max = servers_with_samples == 0 ? h.max() : std::max(max, h.max());
+    count += h.count();
+    ++servers_with_samples;
+  }
+  EXPECT_EQ(servers_with_samples, c.server_count())
+      << "the workload must reach every server";
+
+  MetricsRegistry reg;
+  c.collect_metrics(reg);
+  std::map<std::string, double> rows;
+  for (const auto& [name, value] : reg.flatten()) rows[name] = value;
+  EXPECT_EQ(rows.at("cache.ret_estimate_ms.count"),
+            static_cast<double>(count));
+  EXPECT_EQ(rows.at("cache.ret_estimate_ms.max"), max);
 }
 
 /// Everything observable about one flight-recorded unaligned run.

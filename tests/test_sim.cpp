@@ -355,45 +355,6 @@ TEST(Semaphore, ReleaseWithoutWaitersIncrements) {
   EXPECT_EQ(s.available(), 1);
 }
 
-// -------------------------------------------------------------- Channel ----
-
-Task<> producer(Simulator& sim, Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await Delay{sim, SimTime::millis(1)};
-    ch.push(i);
-  }
-}
-
-Task<> chan_consumer(Channel<int>& ch, int n, std::vector<int>& got) {
-  for (int i = 0; i < n; ++i) {
-    got.push_back(co_await ch.pop());
-  }
-}
-
-TEST(Channel, DeliversInOrderAcrossSuspension) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> got;
-  TaskGroup group(sim);
-  group.spawn(chan_consumer(ch, 5, got));  // consumer first: must block
-  group.spawn(producer(sim, ch, 5));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(Channel, BufferedPopIsImmediate) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  ch.push(1);
-  ch.push(2);
-  EXPECT_EQ(ch.size(), 2u);
-  std::vector<int> got;
-  auto t = chan_consumer(ch, 2, got);
-  t.start();
-  EXPECT_EQ(got, (std::vector<int>{1, 2}));
-}
-
 // -------------------------------------------------------------- JoinSet ----
 
 Task<> tick(Simulator& sim, SimTime d, int& counter) {

@@ -149,34 +149,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::fmt("%lld", 7LL), "7");
 }
 
-TEST(ThroughputMeter, ComputesDecimalMbps) {
-  ThroughputMeter m;
-  m.start(sim::SimTime::zero());
-  m.add_bytes(sim::Bytes{10'000'000});
-  m.stop(sim::SimTime::seconds(2));
-  EXPECT_DOUBLE_EQ(m.mbps(), 5.0);
-  EXPECT_EQ(m.bytes(), sim::Bytes{10'000'000});
-}
-
-TEST(ThroughputMeter, ElapsedGuardedWhileRunning) {
-  ThroughputMeter m;
-  // Never started: no defensible interval.
-  EXPECT_FALSE(m.running());
-  EXPECT_EQ(m.elapsed(), sim::SimTime::zero());
-  EXPECT_DOUBLE_EQ(m.mbps(), 0.0);
-
-  m.start(sim::SimTime::millis(5));
-  m.add_bytes(sim::Bytes{1024});
-  // Still running: elapsed stays zero instead of `now - start` garbage.
-  EXPECT_TRUE(m.running());
-  EXPECT_EQ(m.elapsed(), sim::SimTime::zero());
-  EXPECT_DOUBLE_EQ(m.mbps(), 0.0);
-
-  m.stop(sim::SimTime::millis(7));
-  EXPECT_FALSE(m.running());
-  EXPECT_EQ(m.elapsed(), sim::SimTime::millis(2));
-}
-
 TEST(Histogram, EmptyPercentilesAreZero) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
@@ -254,31 +226,6 @@ TEST(ServiceTimeMeter, SketchBackedTailsAreAlwaysOn) {
   EXPECT_NEAR(m.p50_ms(), 50.0, 50.0 * m.sketch().relative_error());
   EXPECT_NEAR(m.p99_ms(), 99.0, 99.0 * m.sketch().relative_error());
   EXPECT_EQ(m.sketch().count(), 100u);
-}
-
-// ---- Histogram percentile interpolation ----
-
-TEST(Histogram, LinearInterpolationPercentiles) {
-  Histogram h;
-  for (int i = 1; i <= 10; ++i) h.add(i);
-  // Regression pin: the two conventions answer differently at p50.
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 5.0);  // nearest-rank (default)
-  EXPECT_DOUBLE_EQ(h.percentile(50.0, Histogram::Interp::kNearestRank), 5.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0, Histogram::Interp::kLinear), 5.5);
-  // Linear is the R-7 convention: h = p/100 * (n-1), interpolate neighbours.
-  EXPECT_DOUBLE_EQ(h.percentile(25.0, Histogram::Interp::kLinear), 3.25);
-  // Both agree at the extremes.
-  EXPECT_DOUBLE_EQ(h.percentile(0.0, Histogram::Interp::kLinear), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100.0, Histogram::Interp::kLinear), 10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100.0), 10.0);
-}
-
-TEST(Histogram, LinearInterpolationDegenerateSizes) {
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.percentile(50.0, Histogram::Interp::kLinear), 0.0);  // empty
-  h.add(7.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0, Histogram::Interp::kLinear), 7.0);  // single
 }
 
 // ---- bounded quantile estimators ----
@@ -384,7 +331,7 @@ TEST(QuantileSketch, MemoryStaysBoundedRegardlessOfSampleCount) {
   EXPECT_LE(sk.bucket_count(),
             static_cast<std::size_t>(QuantileSketch::kMaxExp -
                                      QuantileSketch::kMinExp) *
-                static_cast<std::size_t>(sk.buckets_per_octave()));
+                static_cast<std::size_t>(QuantileSketch::kBucketsPerOctave));
 
   // A realistic latency metric (two modes, ms scale) stays under the
   // 64 KiB per-metric budget bench_obs --check enforces.
@@ -403,33 +350,6 @@ TEST(QuantileSketch, OutOfRangeSamplesKeepExactExtremes) {
   EXPECT_DOUBLE_EQ(sk.percentile(0.0), -5.0);
   EXPECT_DOUBLE_EQ(sk.percentile(100.0), 1e15);
   EXPECT_DOUBLE_EQ(sk.percentile(1.0), -5.0) << "underflow ranks first";
-}
-
-TEST(Reservoir, ExactWhileUnderCapacityAndSeedDeterministic) {
-  Reservoir r(128, /*seed=*/7);
-  Histogram exact;
-  for (int i = 1; i <= 100; ++i) {
-    r.add(i);
-    exact.add(i);
-  }
-  for (double p : {25.0, 50.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(r.percentile(p), exact.percentile(p))
-        << "exact while count <= capacity";
-  }
-
-  Reservoir x(16, 7), y(16, 7), z(16, 8);
-  const auto stream = heavy_tail_stream(2000, 30);
-  for (double v : stream) {
-    x.add(v);
-    y.add(v);
-    z.add(v);
-  }
-  EXPECT_EQ(x.kept(), 16u);
-  EXPECT_DOUBLE_EQ(x.percentile(50.0), y.percentile(50.0))
-      << "same seed, same stream => same sample";
-  EXPECT_EQ(x.count(), 2000u);
-  EXPECT_LE(x.memory_bytes(), sizeof(Reservoir) + 17 * sizeof(double));
-  (void)z;  // different seed may or may not differ; only determinism is pinned
 }
 
 }  // namespace

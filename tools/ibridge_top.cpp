@@ -8,11 +8,12 @@
 //     --interval-ms M  snapshot cadence, simulated time       (default 200)
 //     --wall           also attribute host CPU per subsystem
 //
-// Runs the Figure 3 magnification workload (same shape as ibridge-trace,
-// untraced) with the sim-core profiler attached and prints a top-like
-// snapshot every simulated interval: event throughput, event-queue depth,
-// and a per-server table with served bytes and the sketch-backed service
-// p50/p99 — the always-on tail latencies that cost O(1) memory per server.
+// Runs the Figure 3 magnification workload (workloads/magnification.hpp, as
+// ibridge-trace does, untraced) with the sim-core profiler attached and
+// prints a top-like snapshot every simulated interval until the run has
+// drained: event throughput, event-queue depth, and a per-server table with
+// served bytes and the sketch-backed service p50/p99 — the always-on tail
+// latencies that cost O(1) memory per server.
 // A final breakdown attributes the run's simulated (and, with --wall, host)
 // time to client/server/cache/disk/ssd, plus the process's peak RSS.
 #include <cstdio>
@@ -22,38 +23,12 @@
 #include "cluster/cluster.hpp"
 #include "exp/cli.hpp"
 #include "exp/gauge.hpp"
-#include "mpiio/mpi.hpp"
 #include "obs/profiler.hpp"
-#include "sim/rng.hpp"
+#include "workloads/magnification.hpp"
 
 using namespace ibridge;
 
 namespace {
-
-constexpr std::int64_t kUnit = 64 * 1024;
-constexpr std::int64_t kFileBytes = 2LL << 30;
-
-sim::Task<> requester(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                      std::int64_t req_size, std::int64_t iters,
-                      std::int64_t region) {
-  for (std::int64_t k = 0; k < iters; ++k) {
-    const std::int64_t off =
-        (k * ctx.size() + ctx.rank()) * region % kFileBytes;
-    co_await file.read_at(ctx.rank(), off, req_size);
-    co_await ctx.barrier();
-  }
-}
-
-sim::Task<> interferer(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                       int target_server, int servers, std::int64_t iters,
-                       sim::Rng rng) {
-  for (std::int64_t k = 0; k < iters; ++k) {
-    const std::int64_t stripe = static_cast<std::int64_t>(
-        rng.below(10'000) * static_cast<std::uint64_t>(servers) +
-        static_cast<std::uint64_t>(target_server));
-    co_await file.read_at(ctx.rank(), stripe * kUnit, kUnit);
-  }
-}
 
 void print_snapshot(cluster::Cluster& c, const obs::SimProfiler& prof,
                     const exp::Stopwatch& wall, std::uint64_t* last_events,
@@ -86,18 +61,20 @@ void print_snapshot(cluster::Cluster& c, const obs::SimProfiler& prof,
   }
 }
 
+/// Prints a snapshot every interval for as long as the run has other work
+/// queued; once only the ticker is left (the workload finished and the
+/// cluster drained), it stops re-arming so the event queue can empty.
 struct Ticker {
   cluster::Cluster& c;
   const obs::SimProfiler& prof;
   const exp::Stopwatch& wall;
   sim::SimTime interval;
-  bool running = true;
   std::uint64_t last_events = 0;
   double last_wall = 0.0;
 
   void arm() {
     c.sim().schedule(interval, [this] {
-      if (!running) return;
+      if (c.sim().empty()) return;
       print_snapshot(c, prof, wall, &last_events, &last_wall);
       arm();
     });
@@ -159,12 +136,11 @@ int main(int argc, char** argv) {
   obs::SimProfiler prof(/*enable_wall_timing=*/wall_attr);
   c.set_profiler(&prof);
 
-  auto fh = c.create_file("data", kFileBytes);
-  mpiio::MpiFile file(c.client(), fh);
-
-  const std::int64_t req_size =
-      static_cast<std::int64_t>(k) * kUnit + (fragment ? 1024 : 0);
-  const std::int64_t region = cc.data_servers * kUnit;
+  workloads::MagnificationConfig wl;
+  wl.k = k;
+  wl.fragment = fragment;
+  wl.requests = requests;
+  const std::int64_t req_size = wl.request_bytes(cc.stripe_unit);
   std::printf("ibridge-top: %s, %d servers, 16 ranks x %lld requests of "
               "%lld bytes%s\n",
               mode.c_str(), cc.data_servers, static_cast<long long>(requests),
@@ -175,19 +151,7 @@ int main(int argc, char** argv) {
   Ticker ticker{c, prof, wall, sim::SimTime::millis(interval_ms)};
   ticker.arm();
 
-  mpiio::MpiEnvironment group(c.sim(), c.client(), 16);
-  mpiio::MpiEnvironment noise(c.sim(), c.client(), 4);
-  group.launch([&](mpiio::MpiContext ctx) {
-    return requester(ctx, file, req_size, requests, region);
-  });
-  sim::Rng seed_gen(77);
-  noise.launch([&](mpiio::MpiContext ctx) {
-    return interferer(ctx, file, /*target_server=*/k % cc.data_servers,
-                      cc.data_servers, requests * 2, seed_gen.fork());
-  });
-  c.sim().run_while_pending([&] { return group.finished(); });
-  ticker.running = false;
-  c.drain();
+  workloads::run_magnification(c, wl);
 
   print_snapshot(c, prof, wall, &ticker.last_events, &ticker.last_wall);
 

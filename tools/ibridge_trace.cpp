@@ -15,12 +15,13 @@
 //                      full tracing (keeps the slowest requests plus a
 //                      deterministic 1-in-K sample; same exporters)
 //
-// The workload reproduces the Figure 3 magnification scenario: a 16-process
-// group reads k*64KB+1KB requests (the 1 KB fragment lands on server k)
-// while a 4-process group hammers server k with random 64 KB reads.  The
-// straggler report then shows each request's per-layer latency breakdown and
-// magnification factor (slowest / median sibling sub-request); with the
-// fragment enabled, the fragment sub-requests dominate the stragglers.
+// The workload (workloads/magnification.hpp) reproduces the Figure 3
+// magnification scenario: a 16-process group reads k*64KB+1KB requests (the
+// 1 KB fragment lands on server k) while a 4-process group hammers server k
+// with random 64 KB reads.  The straggler report then shows each request's
+// per-layer latency breakdown and magnification factor (slowest / median
+// sibling sub-request); with the fragment enabled, the fragment sub-requests
+// dominate the stragglers.
 //
 // Open the JSON in https://ui.perfetto.dev or chrome://tracing.
 #include <cstdio>
@@ -32,40 +33,14 @@
 
 #include "cluster/cluster.hpp"
 #include "exp/cli.hpp"
-#include "mpiio/mpi.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/rng.hpp"
+#include "workloads/magnification.hpp"
 
 using namespace ibridge;
 
 namespace {
-
-constexpr std::int64_t kUnit = 64 * 1024;
-constexpr std::int64_t kFileBytes = 2LL << 30;
-
-sim::Task<> requester(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                      std::int64_t req_size, std::int64_t iters,
-                      std::int64_t region) {
-  for (std::int64_t k = 0; k < iters; ++k) {
-    const std::int64_t off =
-        (k * ctx.size() + ctx.rank()) * region % kFileBytes;
-    co_await file.read_at(ctx.rank(), off, req_size);
-    co_await ctx.barrier();
-  }
-}
-
-sim::Task<> interferer(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                       int target_server, int servers, std::int64_t iters,
-                       sim::Rng rng) {
-  for (std::int64_t k = 0; k < iters; ++k) {
-    const std::int64_t stripe = static_cast<std::int64_t>(
-        rng.below(10'000) * static_cast<std::uint64_t>(servers) +
-        static_cast<std::uint64_t>(target_server));
-    co_await file.read_at(ctx.rank(), stripe * kUnit, kUnit);
-  }
-}
 
 bool write_file(const std::string& path, const char* what,
                 const std::function<void(std::ostream&)>& body) {
@@ -155,30 +130,18 @@ int main(int argc, char** argv) {
   obs::TimeSeries series;
   c.start_metrics_sampler(sim::SimTime::millis(interval_ms), &series);
 
-  auto fh = c.create_file("data", kFileBytes);
-  mpiio::MpiFile file(c.client(), fh);
-
-  const std::int64_t req_size =
-      static_cast<std::int64_t>(k) * kUnit + (fragment ? 1024 : 0);
-  const std::int64_t region = cc.data_servers * kUnit;
+  workloads::MagnificationConfig wl;
+  wl.k = k;
+  wl.fragment = fragment;
+  wl.requests = requests;
+  const std::int64_t req_size = wl.request_bytes(cc.stripe_unit);
   std::printf("ibridge-trace: %s, %d servers, 16 ranks x %lld requests of "
               "%lld bytes%s\n",
               mode.c_str(), cc.data_servers, static_cast<long long>(requests),
               static_cast<long long>(req_size),
               fragment ? " (1 KB fragment on server k)" : "");
 
-  mpiio::MpiEnvironment group(c.sim(), c.client(), 16);
-  mpiio::MpiEnvironment noise(c.sim(), c.client(), 4);
-  group.launch([&](mpiio::MpiContext ctx) {
-    return requester(ctx, file, req_size, requests, region);
-  });
-  sim::Rng seed_gen(77);
-  noise.launch([&](mpiio::MpiContext ctx) {
-    return interferer(ctx, file, /*target_server=*/k % cc.data_servers,
-                      cc.data_servers, requests * 2, seed_gen.fork());
-  });
-  c.sim().run_while_pending([&] { return group.finished(); });
-  c.drain();
+  workloads::run_magnification(c, wl);
 
   obs::write_straggler_report(std::cout, session, top);
   if (flight) {
