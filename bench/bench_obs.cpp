@@ -10,9 +10,9 @@
 //      per-metric budget.  ns/sample for both goes into the wall section.
 //
 //   2. Timeline identity: the unaligned Figure-3-style workload is run
-//      untraced, flight-recorded, fully traced, and with a SimProfiler
-//      attached — the simulated completion time must be byte-identical
-//      across all four (instrumentation never perturbs the model).
+//      untraced, fully traced, and with a SimProfiler attached — the
+//      simulated completion time must be byte-identical across all three
+//      (instrumentation never perturbs the model).
 //
 //   3. Parallel determinism: sketches built under exp::Runner produce
 //      byte-identical percentiles + digests at --jobs 1 and --jobs N.
@@ -49,7 +49,6 @@ namespace {
 using ibridge::exp::Gauge;
 using ibridge::exp::Runner;
 using ibridge::exp::Stopwatch;
-using ibridge::obs::FlightConfig;
 using ibridge::obs::SimProfiler;
 using ibridge::obs::TraceSession;
 using ibridge::stats::Histogram;
@@ -157,7 +156,7 @@ ibridge::sim::Task<> reader(ibridge::mpiio::MpiContext ctx,
   }
 }
 
-enum class Mode { kUntraced, kFlight, kFull, kProfiled };
+enum class Mode { kUntraced, kFull, kProfiled };
 
 std::int64_t run_unaligned_ns(Mode mode) {
   ibridge::cluster::Cluster c(
@@ -166,10 +165,6 @@ std::int64_t run_unaligned_ns(Mode mode) {
   SimProfiler prof;
   switch (mode) {
     case Mode::kUntraced:
-      break;
-    case Mode::kFlight:
-      session.enable_flight_recorder(FlightConfig{});
-      c.set_trace(&session);
       break;
     case Mode::kFull:
       c.set_trace(&session);
@@ -284,17 +279,15 @@ int main(int argc, char** argv) {
 
   // 2. Instrumentation must not perturb the simulated timeline.
   const std::int64_t untraced = run_unaligned_ns(Mode::kUntraced);
-  const std::int64_t flight = run_unaligned_ns(Mode::kFlight);
   const std::int64_t full = run_unaligned_ns(Mode::kFull);
   const std::int64_t profiled = run_unaligned_ns(Mode::kProfiled);
   const bool timeline_ok =
-      untraced == flight && untraced == full && untraced == profiled;
+      untraced == full && untraced == profiled;
   ok = ok && timeline_ok;
-  std::printf("timeline: untraced %.3f ms, flight %+" PRId64
-                  " ns, full %+" PRId64 " ns, profiled %+" PRId64
-                  " ns  [%s]\n",
-              static_cast<double>(untraced) / 1e6, flight - untraced,
-              full - untraced, profiled - untraced,
+  std::printf("timeline: untraced %.3f ms, full %+" PRId64
+              " ns, profiled %+" PRId64 " ns  [%s]\n",
+              static_cast<double>(untraced) / 1e6, full - untraced,
+              profiled - untraced,
               timeline_ok ? "ok" : "FAIL");
   g.set("timeline.untraced_ms", static_cast<double>(untraced) / 1e6);
   g.set("timeline.identical", timeline_ok ? 1.0 : 0.0);

@@ -322,7 +322,6 @@ double fig3_mbps(const Scale& scale, int k, bool with_fragment, bool barrier) {
   cfg.requests = std::max<std::int64_t>(
       1, scale.access_bytes /
              (16 * cfg.request_bytes(c.config().stripe_unit)) / 4);
-  cfg.file_bytes = 8 * kGB;
   return workloads::run_magnification(c, cfg).mbps();
 }
 

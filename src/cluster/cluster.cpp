@@ -38,7 +38,7 @@ storage::SeekProfile profile_disk(const storage::HddParams& params) {
   storage::HddParams p = params;
   p.anticipation_ms = 0.0;
   storage::HddModel disk(scratch, p);
-  return storage::DeviceProfiler().profile(scratch, disk);
+  return storage::profile_device(scratch, disk);
 }
 
 Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {

@@ -8,6 +8,31 @@ namespace ibridge::core {
 
 using storage::IoDirection;
 
+namespace {
+
+/// kHotBlock: accesses to a region before caching kicks in.
+constexpr int kHotBlockMinHits = 2;
+
+/// Write-back budgets.  The daemon's per-wake budget (also an eviction's
+/// batch flush) is small so a wake-up steals little from foreground bursts;
+/// drain() (program exit) flushes in large batches.
+constexpr Bytes kWritebackDaemonBytes{256 << 10};
+constexpr Bytes kWritebackBatchBytes{8 << 20};
+
+/// Bytes charged to the SSD for persisting a mapping-table entry update
+/// (the paper updates dirty table entries on the SSD with each write).
+constexpr std::int64_t kMappingEntryBytes = 64;
+
+/// MappingTable slab slots reserved at construction, so steady-state entry
+/// churn below this mark never grows the slab.  The table's sorted-block
+/// indexes are not reserved: they grow with the live set and recycle
+/// emptied blocks.  The hard ceiling on live entries is ssd_cache_bytes
+/// divided by the smallest cached range; this covers typical working sets
+/// without bloating small runs.
+constexpr std::size_t kMappingReserveEntries = 4096;
+
+}  // namespace
+
 IBridgeCache::IBridgeCache(sim::Simulator& sim, IBridgeConfig cfg,
                            ServerId self, fsim::LocalFileSystem& disk_fs,
                            fsim::LocalFileSystem& ssd_fs,
@@ -26,9 +51,7 @@ IBridgeCache::IBridgeCache(sim::Simulator& sim, IBridgeConfig cfg,
   log_file_ = ssd_fs_.create("ibridge.log",
                              cfg.ssd_cache_bytes + (1 << 20));
   assert(log_file_ != fsim::kInvalidFile && "SSD too small for cache log");
-  if (cfg_.mapping_reserve_entries > 0) {
-    table_.reserve(static_cast<std::size_t>(cfg_.mapping_reserve_entries));
-  }
+  table_.reserve(kMappingReserveEntries);
 }
 
 void IBridgeCache::set_trace(obs::TraceSession* session) {
@@ -158,7 +181,7 @@ bool IBridgeCache::note_region_access(const CacheRequest& r) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(r.file) << 40) ^
       static_cast<std::uint64_t>(r.offset / Bytes{cfg_.hot_block_region});
-  const bool hot = ++region_heat_[key] >= cfg_.hot_block_min_hits;
+  const bool hot = ++region_heat_[key] >= kHotBlockMinHits;
   // Keep the heat map bounded: long runs over huge, cold address spaces
   // would otherwise grow it without limit.  Halve every count (erasing
   // zeroed regions) until the map fits — exponential decay that preserves
@@ -230,7 +253,7 @@ sim::Task<bool> IBridgeCache::evict(EntryId id) {
     // disk write).  Amortize: flush a whole file-ordered batch, which
     // coalesces into long runs and leaves a clean cohort to evict cheaply.
     auto batch = id_pool_.acquire();
-    table_.dirty_entries_into(Bytes{cfg_.writeback_daemon_bytes}, *batch);
+    table_.dirty_entries_into(kWritebackDaemonBytes, *batch);
     co_await flush_batch(*batch);
     if (!table_.contains(id)) co_return false;  // raced with invalidation
     if (table_.get(id).dirty) co_await flush_entry(id);  // not in the batch
@@ -283,13 +306,12 @@ sim::Task<> IBridgeCache::flush_entry(EntryId id) {
 }
 
 void IBridgeCache::charge_mapping_update(Offset near_log_off) {
-  if (cfg_.mapping_entry_bytes <= 0) return;
   // Piggyback a tiny sequential write right behind the data (the real
   // implementation appends the updated table entry with the log record).
   const std::int64_t off =
       std::min(near_log_off.value(), ssd_fs_.file(log_file_).size() - 512);
   ssd_fs_.file(log_file_).map_into(std::max<std::int64_t>(off, 0),
-                                   cfg_.mapping_entry_bytes, map_scratch_);
+                                   kMappingEntryBytes, map_scratch_);
   if (map_scratch_.empty()) return;
   // Fire and forget: the device charges the time; nothing waits on it.
   ssd_fs_.device().submit({IoDirection::kWrite, map_scratch_.front().lbn,
@@ -633,7 +655,7 @@ sim::Task<> IBridgeCache::writeback_daemon() {
         table_.dirty_bytes() > partition_.capacity() / 2;  // Bytes compare
     if (!pressure && disk_fs_.device().queue_depth() > 0) continue;
     auto batch = id_pool_.acquire();
-    table_.dirty_entries_into(Bytes{cfg_.writeback_daemon_bytes}, *batch);
+    table_.dirty_entries_into(kWritebackDaemonBytes, *batch);
     if (batch->empty()) continue;
     co_await flush_batch(*batch, /*yield_to_foreground=*/!pressure);
   }
@@ -647,7 +669,7 @@ sim::Task<> IBridgeCache::drain() {
           : 0;
   while (table_.dirty_bytes() > Bytes::zero()) {
     auto batch = id_pool_.acquire();
-    table_.dirty_entries_into(Bytes{cfg_.writeback_batch_bytes}, *batch);
+    table_.dirty_entries_into(kWritebackBatchBytes, *batch);
     if (batch->empty()) break;
     co_await flush_batch(*batch);
   }

@@ -64,9 +64,8 @@ struct IBridgeConfig {
 
   /// Admission policy (kReturnBased is iBridge; others are baselines).
   AdmissionPolicy admission = AdmissionPolicy::kReturnBased;
-  /// kHotBlock: accesses to a region before caching kicks in.
-  int hot_block_min_hits = 2;
-  /// kHotBlock: region granularity for the heat map.
+  /// kHotBlock: region granularity for the heat map (a region is hot from
+  /// its second access on).
   std::int64_t hot_block_region = 1 << 20;
   /// kHotBlock: tracked-region cap for the heat map.  When the map grows
   /// past this, every count is halved and zeroed regions are swept, so the
@@ -78,25 +77,9 @@ struct IBridgeConfig {
   /// how often the metadata server broadcasts the board (1 s default).
   sim::SimTime t_report_interval = sim::SimTime::seconds(1);
 
-  /// Write-back daemon wake interval and per-wake budget.  The daemon's
-  /// budget is small so a wake-up steals little from foreground bursts;
-  /// drain() (program exit) uses the large batch size.
+  /// Write-back daemon wake interval (its per-wake budget is fixed in
+  /// core/cache.cpp).
   sim::SimTime writeback_interval = sim::SimTime::millis(50);
-  std::int64_t writeback_batch_bytes = 8 << 20;
-  std::int64_t writeback_daemon_bytes = 256 << 10;
-
-  /// Bytes charged to the SSD for persisting a mapping-table entry update
-  /// (the paper updates dirty table entries on the SSD with each write).
-  std::int64_t mapping_entry_bytes = 64;
-
-  /// MappingTable slab slots reserved at construction, so steady-state entry
-  /// churn below this mark never grows the slab.  The table's sorted-block
-  /// indexes are not reserved: they grow with the live set and recycle
-  /// emptied blocks.  The hard ceiling on live entries is ssd_cache_bytes
-  /// divided by the smallest cached range; the default covers typical
-  /// working sets without bloating small runs — scale campaigns raise it
-  /// alongside ssd_cache_bytes.
-  std::int64_t mapping_reserve_entries = 4096;
 
   /// Convenience: the stock (no-SSD) configuration.
   static IBridgeConfig stock() {

@@ -5,7 +5,7 @@
 // which request class it belongs to (regular random vs fragment), and the
 // return value recorded at admission (used for dynamic partitioning).  The
 // paper persists this table on the SSD; the simulator charges that cost in
-// IBridgeCache via IBridgeConfig::mapping_entry_bytes.
+// IBridgeCache::charge_mapping_update (64 B per entry update).
 //
 // Supported queries:
 //   * coverage(): is a byte range fully cached (possibly tiled by several

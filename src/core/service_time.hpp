@@ -8,7 +8,7 @@
 //
 // where lambda is the LBN of the request's first block, R the average
 // rotational delay, B the disk's peak bandwidth, and D_to_T the seek curve
-// learned by offline profiling (storage::DeviceProfiler).  Serving on the
+// learned by offline profiling (storage::profile_device).  Serving on the
 // disk updates T with decay (Eq. 1); serving on the SSD leaves T unchanged
 // (Eq. 2).  The difference is the *return* of SSD redirection.
 #pragma once

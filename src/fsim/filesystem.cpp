@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ibridge::fsim {
 
@@ -158,17 +160,38 @@ bool LocalFileSystem::ensure_allocated(LocalFile& f, std::int64_t size_bytes) {
   return true;
 }
 
+namespace {
+
+/// Out of line, so the message formatting stays off the read path.
+[[noreturn]] void throw_read_outside(const LocalFile& f, std::int64_t offset,
+                                     std::int64_t length,
+                                     std::int64_t allocated) {
+  throw std::out_of_range(
+      "fsim::LocalFileSystem::read: [" + std::to_string(offset) + ", +" +
+      std::to_string(length) + ") is outside the " +
+      std::to_string(allocated) + " allocated bytes of '" + f.name() + "'");
+}
+
+}  // namespace
+
 sim::Task<sim::SimTime> LocalFileSystem::read(FileId id, std::int64_t offset,
                                               std::int64_t length,
                                               std::span<std::byte> out,
                                               int tag) {
   LocalFile& f = file(id);
-  // Reading past EOF of allocated space is a caller bug; reading allocated
-  // but unwritten space returns zeroes (kVerify) like a sparse file.
-  const bool ok = ensure_allocated(f, offset + length);
-  assert(ok && "device full during read mapping");
-  (void)ok;
+  // Checked before read_allocated() starts: a throw inside the coroutine
+  // would terminate the process instead of reaching the caller.
+  const std::int64_t allocated = f.allocated_sectors_ * kSectorBytes;
+  // offset + length > allocated, without the overflow.
+  if (offset < 0 || length <= 0 || offset > allocated - length) {
+    throw_read_outside(f, offset, length, allocated);
+  }
+  return read_allocated(f, id, offset, length, out, tag);
+}
 
+sim::Task<sim::SimTime> LocalFileSystem::read_allocated(
+    LocalFile& f, FileId id, std::int64_t offset, std::int64_t length,
+    std::span<std::byte> out, int tag) {
   const sim::SimTime t0 = sim_.now();
   auto pieces = map_pool_.acquire();
   f.map_into(offset, length, *pieces);

@@ -134,7 +134,10 @@ class LocalFileSystem {
 
   /// Coroutine: read [offset, offset+length) of the file.  Submits one block
   /// request per mapped piece, awaits all, returns the elapsed time.  In
-  /// kVerify mode, fills `out` (may be empty in kTimingOnly mode).
+  /// kVerify mode, fills `out` (may be empty in kTimingOnly mode).  Allocated
+  /// but unwritten space reads as zeroes, like a sparse file.  Throws
+  /// std::out_of_range, before any I/O, unless the range is non-empty and
+  /// inside the file's allocated space.
   sim::Task<sim::SimTime> read(FileId id, std::int64_t offset,
                                std::int64_t length, std::span<std::byte> out,
                                int tag = 0);
@@ -153,6 +156,10 @@ class LocalFileSystem {
 
  private:
   bool ensure_allocated(LocalFile& f, std::int64_t size_bytes);
+  sim::Task<sim::SimTime> read_allocated(LocalFile& f, FileId id,
+                                         std::int64_t offset,
+                                         std::int64_t length,
+                                         std::span<std::byte> out, int tag);
 
   sim::Simulator& sim_;
   storage::BlockDevice& dev_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -63,24 +64,23 @@ void write_json_string(std::ostream& os, const std::string& s) {
 /// parent is absent or lives on another track) sweep start-ordered into the
 /// lowest free lane; descendants inherit their ancestor's lane.  Returns
 /// lane-per-span (indexed id-1) and the lane count per track.
-/// `view` must be a dense TraceSession::export_spans() view (ids 1..n).
-void assign_lanes(const TraceSession::SpanView& view, std::size_t track_count,
-                  std::vector<int>& lane_of,
+void assign_lanes(const TraceSession& session, std::vector<int>& lane_of,
                   std::vector<int>& lanes_per_track) {
-  const auto& spans = view.all();
+  const auto& spans = session.spans();
+  const std::size_t track_count = session.tracks().size();
   lane_of.assign(spans.size(), 0);
   lanes_per_track.assign(track_count, 0);
 
   std::vector<SpanId> roots;
   for (const SpanRecord& s : spans) {
     if (s.track == kNoTrack) continue;
-    if (s.parent == 0 || view.span(s.parent).track != s.track) {
+    if (s.parent == 0 || session.span(s.parent).track != s.track) {
       roots.push_back(s.id);
     }
   }
   std::sort(roots.begin(), roots.end(), [&](SpanId a, SpanId b) {
-    const SpanRecord& sa = view.span(a);
-    const SpanRecord& sb = view.span(b);
+    const SpanRecord& sa = session.span(a);
+    const SpanRecord& sb = session.span(b);
     if (sa.start != sb.start) return sa.start < sb.start;
     return a < b;
   });
@@ -88,7 +88,7 @@ void assign_lanes(const TraceSession::SpanView& view, std::size_t track_count,
   // lane -> finish time of its latest occupant, one vector per track.
   std::vector<std::vector<sim::SimTime>> occupied(track_count);
   for (const SpanId id : roots) {
-    const SpanRecord& s = view.span(id);
+    const SpanRecord& s = session.span(id);
     auto& lanes = occupied[static_cast<std::size_t>(s.track)];
     const sim::SimTime finish = s.open ? sim::SimTime::max() : s.finish;
     std::size_t lane = 0;
@@ -100,12 +100,11 @@ void assign_lanes(const TraceSession::SpanView& view, std::size_t track_count,
     }
     lane_of[id - 1] = static_cast<int>(lane);
   }
-  // Spans are created parent-first and renumbering preserves recording
-  // order, so one id-ordered pass resolves every descendant after its
-  // ancestors.
+  // Spans are created parent-first, so one id-ordered pass resolves every
+  // descendant after its ancestors.
   for (const SpanRecord& s : spans) {
     if (s.track == kNoTrack) continue;
-    if (s.parent != 0 && view.span(s.parent).track == s.track) {
+    if (s.parent != 0 && session.span(s.parent).track == s.track) {
       lane_of[s.id - 1] = lane_of[s.parent - 1];
     }
   }
@@ -117,8 +116,7 @@ void assign_lanes(const TraceSession::SpanView& view, std::size_t track_count,
 }  // namespace
 
 std::vector<RequestBreakdown> analyze(const TraceSession& session) {
-  const TraceSession::SpanView view = session.export_spans();
-  const auto& spans = view.all();
+  const auto& spans = session.spans();
 
   // Sum of direct children's durations per span, for exclusive time.
   std::vector<sim::SimTime> child_sum(spans.size(), sim::SimTime::zero());
@@ -126,35 +124,48 @@ std::vector<RequestBreakdown> analyze(const TraceSession& session) {
     if (s.parent != 0) child_sum[s.parent - 1] += span_duration(s);
   }
 
-  // request id -> root span (parent == 0).
-  std::map<RequestId, SpanId> root_of;
+  // Every request-owned span, grouped by request; the stable sort keeps
+  // each group in id order.
+  std::vector<const SpanRecord*> owned;
   for (const SpanRecord& s : spans) {
-    if (s.request != 0 && s.parent == 0 && root_of.count(s.request) == 0) {
-      root_of.emplace(s.request, s.id);
-    }
+    if (s.request != 0) owned.push_back(&s);
   }
+  std::stable_sort(owned.begin(), owned.end(),
+                   [](const SpanRecord* a, const SpanRecord* b) {
+                     return a->request < b->request;
+                   });
 
   std::vector<RequestBreakdown> out;
-  out.reserve(root_of.size());
-  for (const auto& [request, root_id] : root_of) {
-    const SpanRecord& root = view.span(root_id);
+  for (auto first = owned.begin(); first != owned.end();) {
+    const RequestId request = (*first)->request;
+    const auto last = std::find_if(first, owned.end(),
+                                   [request](const SpanRecord* s) {
+                                     return s->request != request;
+                                   });
+    const auto group = std::span(first, last);
+    first = last;
+    // The request's root is its first span without a parent.
+    const auto root_it = std::find_if(
+        group.begin(), group.end(),
+        [](const SpanRecord* s) { return s->parent == 0; });
+    if (root_it == group.end()) continue;
+    const SpanRecord& root = **root_it;
     if (root.open) continue;  // request never completed; no total to report
     RequestBreakdown b;
     b.request = request;
-    b.root = root_id;
+    b.root = root.id;
     b.rank = int_arg(root, "rank", -1);
     b.offset = int_arg(root, "offset", -1);
     b.length = int_arg(root, "length", -1);
     b.total = span_duration(root);
-    for (const SpanRecord& s : spans) {
-      if (s.request != request) continue;
-      const sim::SimTime dur = span_duration(s);
-      const sim::SimTime kids = child_sum[s.id - 1];
-      b.category_exclusive[s.category] +=
+    for (const SpanRecord* s : group) {
+      const sim::SimTime dur = span_duration(*s);
+      const sim::SimTime kids = child_sum[s->id - 1];
+      b.category_exclusive[s->category] +=
           kids < dur ? dur - kids : sim::SimTime::zero();
-      if (s.parent == root_id && std::string_view(s.name) == "sub") {
-        b.subs.push_back(SubSpan{s.id, int_arg(s, "server", -1),
-                                 int_arg(s, "fragment", 0) != 0, dur});
+      if (s->parent == root.id && std::string_view(s->name) == "sub") {
+        b.subs.push_back(SubSpan{s->id, int_arg(*s, "server", -1),
+                                 int_arg(*s, "fragment", 0) != 0, dur});
       }
     }
     if (!b.subs.empty()) {
@@ -180,10 +191,9 @@ std::vector<RequestBreakdown> analyze(const TraceSession& session) {
 }
 
 void write_chrome_trace(std::ostream& os, const TraceSession& session) {
-  const TraceSession::SpanView view = session.export_spans();
   std::vector<int> lane_of;
   std::vector<int> lanes_per_track;
-  assign_lanes(view, session.tracks().size(), lane_of, lanes_per_track);
+  assign_lanes(session, lane_of, lanes_per_track);
 
   const auto& tracks = session.tracks();
 
@@ -236,7 +246,7 @@ void write_chrome_trace(std::ostream& os, const TraceSession& session) {
        << ",\"args\":{\"sort_index\":" << tid << "}}";
   }
 
-  for (const SpanRecord& s : view.all()) {
+  for (const SpanRecord& s : session.spans()) {
     if (s.track == kNoTrack) continue;
     const auto t = static_cast<std::size_t>(s.track);
     const int tid = tid_of.at(std::make_pair(t, lane_of[s.id - 1]));

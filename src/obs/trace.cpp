@@ -1,18 +1,11 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 #include "sim/simulator.hpp"
 
 namespace ibridge::obs {
-
-void TraceSession::enable_flight_recorder(FlightConfig cfg) {
-  assert(next_id_ == 0 && "enable_flight_recorder before recording spans");
-  flight_ = true;
-  flight_cfg_ = cfg;
-}
 
 TrackId TraceSession::track(const std::string& process,
                             const std::string& thread) {
@@ -28,269 +21,54 @@ TrackId TraceSession::track(const std::string& process,
 SpanId TraceSession::begin(TrackId trk, const char* name, const char* cat,
                            RequestId request, SpanId parent) {
   SpanRecord r;
-  r.id = ++next_id_;
+  r.id = spans_.size() + 1;
   r.parent = parent;
   r.request = request;
   r.track = trk;
   r.name = name;
   r.category = cat;
   r.start = sim_.now();
-  if (!flight_) {
-    spans_.push_back(std::move(r));
-    return next_id_;
-  }
-  const SpanId id = r.id;
-  if (request != 0) {
-    Pending& p = pending_[request];
-    if (p.ids.empty()) p.root = id;
-    p.ids.push_back(id);
-  }
-  live_.emplace(id, std::move(r));
-  return id;
+  spans_.push_back(std::move(r));
+  return spans_.size();
 }
 
 SpanId TraceSession::child(SpanId parent, const char* name, const char* cat) {
   assert(parent != 0 && "child() needs a live parent span");
-  if (!flight_) {
-    const SpanRecord& p = span(parent);
-    return begin(p.track, name, cat, p.request, parent);
-  }
-  const SpanRecord* p = find_live(parent);
-  if (p == nullptr) {
-    // Parent already retired (request committed) — record the child as an
-    // unanchored background span; exporters skip kNoTrack spans.
-    return begin(kNoTrack, name, cat, 0, 0);
-  }
-  return begin(p->track, name, cat, p->request, parent);
+  const SpanRecord& p = span(parent);
+  return begin(p.track, name, cat, p.request, parent);
 }
 
 void TraceSession::end(SpanId id) {
   if (id == 0) return;
-  if (!flight_) {
-    SpanRecord& r = mutable_span(id);
-    assert(r.open && "span ended twice");
-    r.finish = sim_.now();
-    r.open = false;
-    return;
-  }
-  SpanRecord* r = find_live(id);
-  if (r == nullptr) return;  // span's request was committed and dropped
-  assert(r->open && "span ended twice");
-  r->finish = sim_.now();
-  r->open = false;
-  if (r->request != 0) {
-    const auto p = pending_.find(r->request);
-    if (p != pending_.end()) {
-      if (p->second.root == id) {
-        commit_request(r->request, r->finish - r->start);
-      }
-      // Non-root spans stay in live_ until their request commits.
-      return;
-    }
-  }
-  retire_background(id);
+  SpanRecord& r = mutable_span(id);
+  assert(r.open && "span ended twice");
+  r.finish = sim_.now();
+  r.open = false;
 }
 
 SpanId TraceSession::complete(TrackId trk, const char* name, const char* cat,
                               sim::SimTime start, sim::SimTime duration,
                               RequestId request) {
   const SpanId id = begin(trk, name, cat, request, 0);
-  if (!flight_) {
-    SpanRecord& r = mutable_span(id);
-    r.start = start;
-    r.finish = start + duration;
-    r.open = false;
-    return id;
-  }
-  SpanRecord* r = find_live(id);
-  assert(r != nullptr);
-  r->start = start;
-  r->finish = start + duration;
-  r->open = false;
-  // Background completes retire through the linger FIFO so the arg() calls
-  // that conventionally follow complete() still land; request-owned
-  // completes wait in live_ for their request to commit.
-  if (r->request == 0 || pending_.count(r->request) == 0) {
-    retire_background(id);
-  }
+  SpanRecord& r = mutable_span(id);
+  r.start = start;
+  r.finish = start + duration;
+  r.open = false;
   return id;
 }
 
 void TraceSession::arg(SpanId id, const char* key, std::int64_t value) {
   if (id == 0) return;
-  if (!flight_) {
-    mutable_span(id).args.push_back(SpanArg{key, value, {}, true});
-    return;
-  }
-  if (SpanRecord* r = find_live(id)) {
-    r->args.push_back(SpanArg{key, value, {}, true});
-  }
+  mutable_span(id).args.push_back(SpanArg{key, value, {}, true});
 }
 
 void TraceSession::arg(SpanId id, const char* key, std::string value) {
   if (id == 0) return;
-  if (!flight_) {
-    mutable_span(id).args.push_back(SpanArg{key, 0, std::move(value), false});
-    return;
-  }
-  if (SpanRecord* r = find_live(id)) {
-    r->args.push_back(SpanArg{key, 0, std::move(value), false});
-  }
+  mutable_span(id).args.push_back(SpanArg{key, 0, std::move(value), false});
 }
 
 void TraceSession::counter(const std::string& name, double value) {
   counters_.push_back(CounterSample{name, sim_.now(), value});
-  if (flight_ && counters_.size() > flight_cfg_.counter_capacity) {
-    // Ring semantics via oldest-half compaction (amortized O(1)).
-    counters_.erase(counters_.begin(),
-                    counters_.begin() +
-                        static_cast<std::ptrdiff_t>(counters_.size() / 2));
-  }
-}
-
-std::vector<RequestId> TraceSession::retained_request_ids() const {
-  std::vector<RequestId> ids;
-  ids.reserve(retained_.size());
-  for (const auto& [req, _] : retained_) ids.push_back(req);
-  return ids;
-}
-
-SpanRecord* TraceSession::find_live(SpanId id) {
-  const auto it = live_.find(id);
-  return it == live_.end() ? nullptr : &it->second;
-}
-
-void TraceSession::commit_request(RequestId request, sim::SimTime duration) {
-  Pending p = std::move(pending_.at(request));
-  pending_.erase(request);
-  if (retained_.count(request) != 0) {
-    // A span arrived under an already-committed request id and re-opened
-    // it; retire its closed spans as background rather than re-deciding.
-    for (const SpanId id : p.ids) {
-      const auto it = live_.find(id);
-      if (it != live_.end() && !it->second.open) retire_background(id);
-    }
-    return;
-  }
-
-  const bool sampled =
-      flight_cfg_.sample_every != 0 &&
-      (request - 1) % flight_cfg_.sample_every == 0;
-  const std::int64_t dns = duration.ns();
-  bool slow = false;
-  if (flight_cfg_.keep_slowest > 0) {
-    slow = slow_index_.size() < flight_cfg_.keep_slowest ||
-           std::make_pair(dns, request) > *slow_index_.begin();
-  }
-
-  if (!sampled && !slow) {
-    for (const SpanId id : p.ids) {
-      const auto it = live_.find(id);
-      // Spans still open (async staging) stay live and retire as
-      // background when they end.
-      if (it != live_.end() && !it->second.open) live_.erase(it);
-    }
-    return;
-  }
-
-  Retained r;
-  r.sampled = sampled;
-  r.slow = slow;
-  r.spans.reserve(p.ids.size());
-  for (const SpanId id : p.ids) {
-    const auto it = live_.find(id);
-    if (it == live_.end() || it->second.open) continue;
-    r.spans.push_back(std::move(it->second));
-    live_.erase(it);
-  }
-  retained_.emplace(request, std::move(r));
-
-  if (slow) {
-    slow_index_.emplace(dns, request);
-    if (slow_index_.size() > flight_cfg_.keep_slowest) {
-      const RequestId victim = slow_index_.begin()->second;
-      slow_index_.erase(slow_index_.begin());
-      const auto vit = retained_.find(victim);
-      if (vit != retained_.end()) {
-        vit->second.slow = false;
-        drop_retained_if_unreferenced(victim);
-      }
-    }
-  }
-  if (sampled) {
-    sampled_fifo_.push_back(request);
-    if (sampled_fifo_.size() > flight_cfg_.sampled_capacity) {
-      const RequestId oldest = sampled_fifo_.front();
-      sampled_fifo_.erase(sampled_fifo_.begin());
-      const auto oit = retained_.find(oldest);
-      if (oit != retained_.end()) {
-        oit->second.sampled = false;
-        drop_retained_if_unreferenced(oldest);
-      }
-    }
-  }
-}
-
-void TraceSession::drop_retained_if_unreferenced(RequestId request) {
-  const auto it = retained_.find(request);
-  if (it != retained_.end() && !it->second.slow && !it->second.sampled) {
-    retained_.erase(it);
-  }
-}
-
-void TraceSession::retire_background(SpanId id) {
-  bg_linger_.push_back(id);
-  if (bg_linger_.size() <= kBackgroundLinger) return;
-  const SpanId oldest = bg_linger_.front();
-  bg_linger_.erase(bg_linger_.begin());
-  const auto it = live_.find(oldest);
-  if (it != live_.end()) {
-    background_.push_back(std::move(it->second));
-    live_.erase(it);
-    if (background_.size() > flight_cfg_.background_capacity) {
-      background_.erase(
-          background_.begin(),
-          background_.begin() +
-              static_cast<std::ptrdiff_t>(background_.size() / 2));
-    }
-  }
-}
-
-TraceSession::SpanView TraceSession::export_spans() const {
-  SpanView v;
-  if (!flight_) {
-    v.alias_ = &spans_;
-    return v;
-  }
-  std::vector<SpanRecord>& out = v.owned_;
-  std::size_t total = background_.size() + live_.size();
-  for (const auto& [_, r] : retained_) total += r.spans.size();
-  out.reserve(total);
-  for (const auto& [_, r] : retained_) {
-    out.insert(out.end(), r.spans.begin(), r.spans.end());
-  }
-  out.insert(out.end(), background_.begin(), background_.end());
-  for (const auto& [_, s] : live_) out.push_back(s);
-  std::sort(out.begin(), out.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              return a.id < b.id;
-            });
-  // Renumber to the dense 1..n ids exporters index with; parents that were
-  // not retained become 0 (the span renders as a lane root).
-  std::vector<SpanId> old_ids;
-  old_ids.reserve(out.size());
-  for (const SpanRecord& s : out) old_ids.push_back(s.id);
-  const auto remap = [&](SpanId old) -> SpanId {
-    if (old == 0) return 0;
-    const auto it = std::lower_bound(old_ids.begin(), old_ids.end(), old);
-    if (it == old_ids.end() || *it != old) return 0;
-    return static_cast<SpanId>(it - old_ids.begin()) + 1;
-  };
-  for (SpanRecord& s : out) s.parent = remap(s.parent);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].id = static_cast<SpanId>(i) + 1;
-  }
-  return v;
 }
 
 }  // namespace ibridge::obs

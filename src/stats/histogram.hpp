@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -60,11 +61,16 @@ class Summary {
 /// stores every observation (sorted lazily), so it answers any quantile
 /// exactly — used for the caches' return-estimate distributions and the
 /// metrics registry's histograms, where sample counts stay modest.
+///
+/// The lazy sort is incremental: only the samples added since the last sort
+/// are sorted, then merged into the sorted prefix, and merge() merges two
+/// sorted runs.  A metrics sampler that merges every cache's histogram into
+/// a fresh registry at each tick thus pays O(samples) per tick, not
+/// O(samples log samples).
 class Histogram {
  public:
   void add(double x) {
     samples_.push_back(x);
-    sorted_ = samples_.size() <= 1;
     moments_.add(x);
   }
 
@@ -80,10 +86,7 @@ class Histogram {
   /// min() for p<=0 and max() for p>=100.
   double percentile(double p) const {
     if (samples_.empty()) return 0.0;
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
+    sort_samples();
     if (p <= 0.0) return samples_.front();
     if (p >= 100.0) return samples_.back();
     const auto n = static_cast<double>(samples_.size());
@@ -94,22 +97,36 @@ class Histogram {
   double median() const { return percentile(50.0); }
 
   void merge(const Histogram& o) {
+    o.sort_samples();
+    sort_samples();
+    const auto mid = static_cast<std::ptrdiff_t>(samples_.size());
     samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
-    sorted_ = samples_.size() <= 1;
+    std::inplace_merge(samples_.begin(), samples_.begin() + mid,
+                       samples_.end());
+    sorted_ = samples_.size();
     moments_.merge(o.moments_);
   }
 
   void clear() {
     samples_.clear();
-    sorted_ = true;
+    sorted_ = 0;
     moments_ = {};
   }
 
  private:
-  // percentile() is logically const; the lazy sort is an implementation
-  // detail (same observable sequence either way).
+  // Sort the samples past the sorted prefix and merge them into it.
+  void sort_samples() const {
+    if (sorted_ == samples_.size()) return;
+    const auto mid = samples_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+    std::sort(mid, samples_.end());
+    std::inplace_merge(samples_.begin(), mid, samples_.end());
+    sorted_ = samples_.size();
+  }
+
+  // percentile() and merge()'s argument are logically const; the lazy sort
+  // is an implementation detail (same observable sequence either way).
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  mutable std::size_t sorted_ = 0;  ///< samples_[0, sorted_) is sorted
   Summary moments_;
 };
 

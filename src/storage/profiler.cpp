@@ -42,6 +42,13 @@ sim::SimTime SeekProfile::seek_time(std::int64_t d) const {
 
 namespace {
 
+// The probe plan: 4 KB probes, averaged over 4 hops at each of 24
+// log-spaced seek distances, and a 64 MB streaming run for peak bandwidth.
+constexpr std::int64_t kProbeSectors = 8;
+constexpr int kProbesPerDistance = 4;
+constexpr int kDistancePoints = 24;
+constexpr std::int64_t kStreamBytes = 64 << 20;
+
 struct ProfileResult {
   std::vector<SeekProfile::Sample> samples;
   double stream_ms = 0.0;
@@ -52,14 +59,12 @@ struct ProfileResult {
 };
 
 sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
-                       const ProfilerConfig& cfg, ProfileResult& out,
-                       bool& done) {
+                       ProfileResult& out, bool& done) {
   const std::int64_t cap = dev.capacity_sectors();
-  const std::int64_t probe = cfg.probe_sectors;
 
   // 1. Streaming read to measure peak bandwidth.
   {
-    const std::int64_t total = cfg.stream_bytes / kSectorBytes;
+    const std::int64_t total = kStreamBytes / kSectorBytes;
     const std::int64_t chunk = 2048;  // 1 MB per request, back to back
     const sim::SimTime t0 = sim.now();
     for (std::int64_t pos = 0; pos < total; pos += chunk) {
@@ -73,23 +78,20 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
   //    lbn and lbn+d so every probe incurs a seek of exactly d.
   const double max_d = static_cast<double>(cap) * 0.45;
   const double min_d = 1024.0;  // 512 KB
-  for (int i = 0; i < cfg.distance_points; ++i) {
-    const double frac =
-        cfg.distance_points == 1
-            ? 0.0
-            : static_cast<double>(i) / (cfg.distance_points - 1);
+  for (int i = 0; i < kDistancePoints; ++i) {
+    const double frac = static_cast<double>(i) / (kDistancePoints - 1);
     const auto d = static_cast<std::int64_t>(
         min_d * std::pow(max_d / min_d, frac));
     const std::int64_t base = cap / 4;
     double total_ms = 0.0;
-    for (int p = 0; p < cfg.probes_per_distance; ++p) {
+    for (int p = 0; p < kProbesPerDistance; ++p) {
       const std::int64_t lbn = (p % 2 == 0) ? base : base + d;
       const sim::SimTime t0 = sim.now();
-      co_await dev.submit({IoDirection::kRead, lbn, probe, 0});
+      co_await dev.submit({IoDirection::kRead, lbn, kProbeSectors, 0});
       total_ms += (sim.now() - t0).to_millis();
     }
     out.samples.push_back(
-        {d, total_ms / static_cast<double>(cfg.probes_per_distance)});
+        {d, total_ms / static_cast<double>(kProbesPerDistance)});
   }
 
   // 3. Near-hop probe: positioning cost with negligible seek distance,
@@ -99,9 +101,10 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
     const int reps = 8;
     std::int64_t lbn = cap / 3;
     for (int p = 0; p < reps; ++p) {
-      lbn += probe + 2;  // skip two sectors: breaks contiguity, tiny distance
+      // Skip two sectors: breaks contiguity at a tiny distance.
+      lbn += kProbeSectors + 2;
       const sim::SimTime t0 = sim.now();
-      co_await dev.submit({IoDirection::kRead, lbn, probe, 0});
+      co_await dev.submit({IoDirection::kRead, lbn, kProbeSectors, 0});
       total_ms += (sim.now() - t0).to_millis();
     }
     out.near_ms = total_ms / reps;
@@ -109,7 +112,7 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
 
   // 4. Streaming write bandwidth.
   {
-    const std::int64_t total = cfg.stream_bytes / kSectorBytes;
+    const std::int64_t total = kStreamBytes / kSectorBytes;
     const std::int64_t chunk = 2048;
     const sim::SimTime t0 = sim.now();
     for (std::int64_t pos = 0; pos < total; pos += chunk) {
@@ -141,8 +144,10 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
       }
       co_return total_ms / reps;
     };
-    const double rd_small = co_await measure(IoDirection::kRead, probe);
-    const double wr_small = co_await measure(IoDirection::kWrite, probe);
+    const double rd_small =
+        co_await measure(IoDirection::kRead, kProbeSectors);
+    const double wr_small =
+        co_await measure(IoDirection::kWrite, kProbeSectors);
     const double rd_large = co_await measure(IoDirection::kRead, 128);
     const double wr_large = co_await measure(IoDirection::kWrite, 128);
     out.write_small_ms = std::max(0.0, wr_small - rd_small);
@@ -154,11 +159,10 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
 
 }  // namespace
 
-SeekProfile DeviceProfiler::profile(sim::Simulator& sim,
-                                    BlockDevice& dev) const {
+SeekProfile profile_device(sim::Simulator& sim, BlockDevice& dev) {
   ProfileResult result;
   bool done = false;
-  auto task = run_probes(sim, dev, cfg_, result, done);
+  auto task = run_probes(sim, dev, result, done);
   task.start();
   sim.run_while_pending([&] { return done; });
   assert(done && "profiling simulation stalled");
@@ -177,11 +181,11 @@ SeekProfile DeviceProfiler::profile(sim::Simulator& sim,
   SeekProfile profile(std::move(net));
   profile.set_rotation(sim::SimTime::from_seconds(result.near_ms / 1e3));
   if (result.stream_ms > 0) {
-    profile.set_peak_bandwidth(static_cast<double>(cfg_.stream_bytes) /
+    profile.set_peak_bandwidth(static_cast<double>(kStreamBytes) /
                                (result.stream_ms / 1e3));
   }
   if (result.stream_write_ms > 0) {
-    profile.set_peak_write_bandwidth(static_cast<double>(cfg_.stream_bytes) /
+    profile.set_peak_write_bandwidth(static_cast<double>(kStreamBytes) /
                                      (result.stream_write_ms / 1e3));
   }
   profile.set_write_surcharge(result.write_small_ms, result.write_large_ms);

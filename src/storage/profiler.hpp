@@ -3,7 +3,7 @@
 // iBridge's server-side service-time model (Equation 1) needs D_to_T, "a
 // function for converting the disk seek distance to seek time", which the
 // paper obtains "from an offline profiling of the disk" following Huang et
-// al. (FS2, SOSP'05).  We reproduce that honestly: DeviceProfiler issues
+// al. (FS2, SOSP'05).  We reproduce that honestly: profile_device() issues
 // probe requests at controlled distances against a BlockDevice in a private
 // simulation, measures the service times, and builds a piecewise-linear
 // SeekProfile.  The iBridge runtime then uses only the learned profile, never
@@ -73,25 +73,9 @@ class SeekProfile {
   double write_large_ms_ = 0.0;
 };
 
-/// Profiling configuration.
-struct ProfilerConfig {
-  std::int64_t probe_sectors = 8;          // 4 KB probes
-  int probes_per_distance = 4;             // averaged
-  int distance_points = 24;                // log-spaced sample distances
-  std::int64_t stream_bytes = 64 << 20;    // streaming run for peak bandwidth
-};
-
-/// Runs the profiling workload against a device.  The device must be
-/// otherwise idle; the caller supplies the simulator that owns it.
-class DeviceProfiler {
- public:
-  explicit DeviceProfiler(ProfilerConfig cfg = {}) : cfg_(cfg) {}
-
-  /// Profile `dev` inside `sim` (runs the simulation to completion).
-  SeekProfile profile(sim::Simulator& sim, BlockDevice& dev) const;
-
- private:
-  ProfilerConfig cfg_;
-};
+/// Runs the profiling workload against `dev` inside `sim` (runs the
+/// simulation to completion).  The device must be otherwise idle; the caller
+/// supplies the simulator that owns it.
+SeekProfile profile_device(sim::Simulator& sim, BlockDevice& dev);
 
 }  // namespace ibridge::storage

@@ -10,12 +10,17 @@ namespace {
 constexpr int kRequesters = 16;
 constexpr int kInterferers = 4;
 
+// The shared file.  8 GB holds the interferers' deepest stripe (10,000 x
+// servers x unit, about 5.2 GB at 8 servers of 64 KiB units).
+constexpr std::int64_t kFileBytes = 8'000'000'000;
+
+/// `wrap` is the last stripe boundary in the file, so every request starts
+/// on a stripe boundary and its fragment stays on server k.
 sim::Task<> requester(mpiio::MpiContext ctx, mpiio::MpiFile file,
                       MagnificationConfig cfg, std::int64_t req_bytes,
-                      std::int64_t region) {
+                      std::int64_t region, std::int64_t wrap) {
   for (std::int64_t i = 0; i < cfg.requests; ++i) {
-    const std::int64_t off =
-        (i * ctx.size() + ctx.rank()) * region % cfg.file_bytes;
+    const std::int64_t off = (i * ctx.size() + ctx.rank()) * region % wrap;
     co_await file.read_at(ctx.rank(), off, req_bytes);
     if (cfg.barrier) co_await ctx.barrier();
   }
@@ -42,14 +47,15 @@ WorkloadResult run_magnification(cluster::Cluster& cluster,
   const std::int64_t unit = cc.stripe_unit;
   const std::int64_t req_bytes = cfg.request_bytes(unit);
   const std::int64_t region = cc.data_servers * unit;
-  auto fh = cluster.create_file("data", cfg.file_bytes);
+  const std::int64_t wrap = kFileBytes / region * region;
+  auto fh = cluster.create_file("data", kFileBytes);
   mpiio::MpiFile file(cluster.client(), fh);
 
   mpiio::MpiEnvironment group(cluster.sim(), cluster.client(), kRequesters);
   mpiio::MpiEnvironment noise(cluster.sim(), cluster.client(), kInterferers);
   const sim::SimTime t0 = cluster.sim().now();
   group.launch([&](mpiio::MpiContext ctx) {
-    return requester(ctx, file, cfg, req_bytes, region);
+    return requester(ctx, file, cfg, req_bytes, region, wrap);
   });
   sim::Rng seed_gen(77);
   noise.launch([&](mpiio::MpiContext ctx) {

@@ -7,8 +7,7 @@
 // whole stripe units that all live on server k, so the fragment contends
 // with real work there.  The paper's trend: the fragment's throughput
 // penalty grows with k, and a barrier between iterations amplifies it.
-// bench_paper's fig3, ibridge-trace and ibridge-top all drive this one
-// workload.
+// bench_paper's fig3 and ibridge-trace both drive this one workload.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +21,6 @@ struct MagnificationConfig {
   bool fragment = true;         ///< add the trailing 1 KB (lands on server k)
   bool barrier = true;          ///< barrier after every request
   std::int64_t requests = 8;    ///< synchronous requests per rank
-  std::int64_t file_bytes = 2LL << 30;  ///< requester offsets wrap here
 
   /// Bytes per group request for a cluster striped in `stripe_unit`s.
   std::int64_t request_bytes(std::int64_t stripe_unit) const {
@@ -30,9 +28,9 @@ struct MagnificationConfig {
   }
 };
 
-/// Run both groups on a fresh file "data" in `cluster` until the requesting
-/// group finishes, then drain().  `io_elapsed` ends when the group
-/// finishes; `bytes` and `requests` count the group's requests only.
+/// Run both groups on a fresh 8 GB file "data" in `cluster` until the
+/// requesting group finishes, then drain().  `io_elapsed` ends when the
+/// group finishes; `bytes` and `requests` count the group's requests only.
 WorkloadResult run_magnification(cluster::Cluster& cluster,
                                  const MagnificationConfig& cfg);
 

@@ -2,8 +2,10 @@
 // and byte-accurate data integrity in verify mode.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "fsim/filesystem.hpp"
@@ -169,6 +171,28 @@ TEST_F(FsFixture, UnwrittenRangesReadAsZero) {
   const FileId id = fs.create("a", 1 << 20);
   const auto back = do_read(id, 12345, 100);
   for (auto b : back) EXPECT_EQ(b, std::byte{0});
+}
+
+TEST_F(FsFixture, ReadPastAllocationThrowsAndLeavesExtents) {
+  const FileId id = fs.create("a", 1 << 20);
+  const std::vector<Extent> before = fs.file(id).extents();
+  EXPECT_THROW(fs.read(id, (1 << 20) - 100, 200, {}), std::out_of_range);
+  EXPECT_THROW(fs.read(id, 4LL << 30, 512, {}), std::out_of_range);
+  EXPECT_THROW(fs.read(id, -512, 512, {}), std::out_of_range);
+  EXPECT_THROW(fs.read(id, 0, 0, {}), std::out_of_range);
+  EXPECT_THROW(fs.read(id, 512, INT64_MAX, {}), std::out_of_range);
+  const std::vector<Extent>& after = fs.file(id).extents();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].file_sector, before[i].file_sector);
+    EXPECT_EQ(after[i].lbn, before[i].lbn);
+    EXPECT_EQ(after[i].sectors, before[i].sectors);
+  }
+  // Nothing was allocated: the next file starts right after "a".
+  const FileId b = fs.create("b", 512);
+  EXPECT_EQ(fs.file(b).extents().front().lbn, (1 << 20) / kSectorBytes);
+  // The last allocated byte still reads.
+  EXPECT_EQ(do_read(id, (1 << 20) - 100, 100).size(), 100u);
 }
 
 TEST_F(FsFixture, OverlappingWritesLastWins) {

@@ -250,76 +250,6 @@ TEST(TimeSeries, LateGaugeColumnsBackfillEmptyNotZero) {
   EXPECT_NE(csv.find("20,4,3.5\n"), std::string::npos);
 }
 
-// ---- flight recorder (unit level) ----
-
-TEST(FlightRecorder, RetainsSlowestAndSampledDeterministically) {
-  sim::Simulator sim;
-  TraceSession s(sim);
-  FlightConfig cfg;
-  cfg.keep_slowest = 2;
-  cfg.sample_every = 3;
-  s.enable_flight_recorder(cfg);
-  const TrackId t = s.track("client", "rank0");
-  // Six requests, request i lasting i ms: the slowest two are {5, 6}; the
-  // 1-in-3 sample keeps {1, 4}.
-  for (int i = 1; i <= 6; ++i) {
-    sim.schedule(ms(10 * i), [&s, &sim, t] {
-      const RequestId rid = s.new_request();
-      const SpanId root = s.begin(t, "request", "client", rid);
-      sim.schedule(ms(static_cast<std::int64_t>(rid)),
-                   [&s, root] { s.end(root); });
-    });
-  }
-  sim.run();
-
-  EXPECT_TRUE(s.flight_mode());
-  EXPECT_EQ(s.spans_recorded(), 6u);
-  EXPECT_EQ(s.requests_traced(), 6u);
-  EXPECT_EQ(s.retained_request_ids(), (std::vector<RequestId>{1, 4, 5, 6}));
-  EXPECT_TRUE(s.spans().empty()) << "flight mode bypasses the full store";
-
-  const auto view = s.export_spans();
-  ASSERT_EQ(view.all().size(), 4u);
-  for (std::size_t i = 0; i < view.all().size(); ++i) {
-    EXPECT_EQ(view.all()[i].id, i + 1) << "export ids renumber densely";
-    EXPECT_EQ(view.all()[i].parent, 0u);
-    EXPECT_FALSE(view.all()[i].open);
-  }
-  // The analyzer and exporters run on the view transparently.
-  const auto reqs = analyze(s);
-  ASSERT_EQ(reqs.size(), 4u);
-  EXPECT_EQ(reqs[3].total, ms(6));
-}
-
-TEST(FlightRecorder, BackgroundRingStaysBounded) {
-  sim::Simulator sim;
-  TraceSession s(sim);
-  FlightConfig cfg;
-  cfg.background_capacity = 8;
-  cfg.counter_capacity = 8;
-  s.enable_flight_recorder(cfg);
-  const TrackId t = s.track("srv0", "disk");
-  for (int i = 0; i < 1000; ++i) {
-    sim.schedule(ms(i), [&s, t, i] {
-      const SpanId id = s.complete(t, "io.read", "device", ms(i), ms(1));
-      s.arg(id, "sectors", std::int64_t{8});
-      s.counter("srv0.inflight", static_cast<double>(i % 4));
-    });
-  }
-  sim.run();
-  EXPECT_EQ(s.spans_recorded(), 1000u);
-  // Retention = the ring plus the short linger window for late arg()
-  // attachment; either way a small constant, nowhere near the 1000 recorded.
-  const auto kept = s.export_spans();
-  EXPECT_LE(kept.all().size(), cfg.background_capacity + 64u);
-  EXPECT_LE(s.counters().size(), cfg.counter_capacity);
-  // The most recent background spans are the ones kept, args intact.
-  ASSERT_FALSE(kept.all().empty());
-  EXPECT_EQ(kept.all().back().start, ms(999));
-  ASSERT_EQ(kept.all().back().args.size(), 1u);
-  EXPECT_EQ(kept.all().back().args[0].ival, 8);
-}
-
 // ---- sim-core profiler (unit level) ----
 
 TEST(SimProfiler, GapAttributionAndFirstMarkWins) {
@@ -383,17 +313,23 @@ sim::Task<> reader(mpiio::MpiContext ctx, mpiio::MpiFile file,
   }
 }
 
-TracedRun run_unaligned(TraceSession* session) {
-  cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
-  if (session != nullptr) c.set_trace(session);
+/// Four ranks each read `iters` 65 KB requests on `c`, then drain; returns
+/// the flush time.
+sim::SimTime read_unaligned(cluster::Cluster& c, std::int64_t iters) {
   auto fh = c.create_file("data", 2LL << 30);
   mpiio::MpiFile file(c.client(), fh);
   mpiio::MpiEnvironment group(c.sim(), c.client(), 4);
   group.launch(
-      [&](mpiio::MpiContext ctx) { return reader(ctx, file, 3); });
+      [&](mpiio::MpiContext ctx) { return reader(ctx, file, iters); });
   c.sim().run_while_pending([&] { return group.finished(); });
+  return c.drain();
+}
+
+TracedRun run_unaligned(TraceSession* session) {
+  cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
+  if (session != nullptr) c.set_trace(session);
   TracedRun r;
-  r.flushed = c.drain();
+  r.flushed = read_unaligned(c, 3);
   r.served = c.total_bytes_served();
   return r;
 }
@@ -416,13 +352,7 @@ TEST(ClusterTracing, SpanTreeCoversEveryLayer) {
   cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
   TraceSession session(c.sim());
   c.set_trace(&session);
-  auto fh = c.create_file("data", 2LL << 30);
-  mpiio::MpiFile file(c.client(), fh);
-  mpiio::MpiEnvironment group(c.sim(), c.client(), 4);
-  group.launch(
-      [&](mpiio::MpiContext ctx) { return reader(ctx, file, 2); });
-  c.sim().run_while_pending([&] { return group.finished(); });
-  c.drain();
+  read_unaligned(c, 2);
 
   int requests = 0, subs = 0, serves = 0, devices = 0;
   for (const SpanRecord& sp : session.spans()) {
@@ -494,73 +424,144 @@ TEST(ClusterMetrics, ReturnEstimatesMergeEveryServer) {
   EXPECT_EQ(rows.at("cache.ret_estimate_ms.max"), max);
 }
 
-/// Everything observable about one flight-recorded unaligned run.
-struct FlightRun {
-  TracedRun run;
-  std::uint64_t spans_recorded = 0;
-  std::uint64_t requests_traced = 0;
-  std::vector<RequestId> retained;
-  std::size_t analyzed = 0;
-  std::string chrome_json;
-};
-
-FlightRun flight_unaligned(const FlightConfig& cfg) {
-  cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
-  TraceSession session(c.sim());
-  session.enable_flight_recorder(cfg);
-  c.set_trace(&session);
-  auto fh = c.create_file("data", 2LL << 30);
-  mpiio::MpiFile file(c.client(), fh);
-  mpiio::MpiEnvironment group(c.sim(), c.client(), 4);
-  group.launch(
-      [&](mpiio::MpiContext ctx) { return reader(ctx, file, 3); });
-  c.sim().run_while_pending([&] { return group.finished(); });
-  FlightRun out;
-  out.run.flushed = c.drain();
-  out.run.served = c.total_bytes_served();
-  out.spans_recorded = session.spans_recorded();
-  out.requests_traced = session.requests_traced();
-  out.retained = session.retained_request_ids();
-  out.analyzed = analyze(session).size();
-  std::ostringstream os;
-  write_chrome_trace(os, session);
-  out.chrome_json = os.str();
+/// The per-request breakdowns analyze() must produce, computed the direct
+/// way: for every request, scan every span.
+std::vector<RequestBreakdown> analyze_naive(const TraceSession& s) {
+  const auto duration = [](const SpanRecord& r) {
+    return r.open ? sim::SimTime::zero() : r.finish - r.start;
+  };
+  const auto int_arg = [](const SpanRecord& r, const std::string& key,
+                          std::int64_t fallback) {
+    for (const SpanArg& a : r.args) {
+      if (a.is_int && key == a.key) return a.ival;
+    }
+    return fallback;
+  };
+  std::vector<RequestBreakdown> out;
+  for (RequestId req = 1; req <= s.requests_traced(); ++req) {
+    const SpanRecord* root = nullptr;
+    for (const SpanRecord& r : s.spans()) {
+      if (r.request == req && r.parent == 0) {
+        root = &r;
+        break;
+      }
+    }
+    if (root == nullptr || root->open) continue;
+    RequestBreakdown b;
+    b.request = req;
+    b.root = root->id;
+    b.rank = int_arg(*root, "rank", -1);
+    b.offset = int_arg(*root, "offset", -1);
+    b.length = int_arg(*root, "length", -1);
+    b.total = duration(*root);
+    for (const SpanRecord& r : s.spans()) {
+      if (r.request != req) continue;
+      sim::SimTime kids = sim::SimTime::zero();
+      for (const SpanRecord& c : s.spans()) {
+        if (c.parent == r.id) kids += duration(c);
+      }
+      const sim::SimTime own = duration(r);
+      b.category_exclusive[r.category] +=
+          kids < own ? own - kids : sim::SimTime::zero();
+      if (r.parent == root->id && std::string(r.name) == "sub") {
+        b.subs.push_back(SubSpan{r.id, int_arg(r, "server", -1),
+                                 int_arg(r, "fragment", 0) != 0, own});
+      }
+    }
+    std::vector<sim::SimTime> durs;
+    for (const SubSpan& sub : b.subs) durs.push_back(sub.duration);
+    std::sort(durs.begin(), durs.end());
+    if (!durs.empty()) {
+      b.slowest = durs.back();
+      b.median = durs[(durs.size() - 1) / 2];
+    }
+    if (durs.size() >= 2 && b.median.ns() > 0) {
+      b.magnification = static_cast<double>(b.slowest.ns()) /
+                        static_cast<double>(b.median.ns());
+    }
+    for (const SubSpan& sub : b.subs) {
+      if (sub.fragment && sub.duration == b.slowest) {
+        b.straggler_is_fragment = true;
+      }
+    }
+    out.push_back(std::move(b));
+  }
   return out;
 }
 
-TEST(ClusterTracing, FlightRecorderKeepsTimelineAndIsDeterministic) {
-  FlightConfig cfg;
-  cfg.keep_slowest = 4;
-  cfg.sample_every = 5;
-  const TracedRun off = run_unaligned(nullptr);
-  const FlightRun a = flight_unaligned(cfg);
-  const FlightRun b = flight_unaligned(cfg);
+TEST(Analyze, MatchesNaivePerRequestScanOnInterleavedRun) {
+  // Four ranks run concurrently, so the spans of different requests
+  // interleave in the store; every field must match the direct scan.
+  cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
+  TraceSession session(c.sim());
+  c.set_trace(&session);
+  read_unaligned(c, 3);
 
-  // Flight retention must not perturb the simulation...
-  EXPECT_EQ(off.flushed, a.run.flushed)
-      << "flight tracing must not perturb the simulated timeline";
-  EXPECT_EQ(off.served, a.run.served);
-  // ...and must retain the same requests on every run.
-  EXPECT_EQ(a.run.flushed, b.run.flushed);
-  EXPECT_EQ(a.spans_recorded, b.spans_recorded);
-  EXPECT_EQ(a.retained, b.retained);
+  bool interleaved = false;
+  for (std::size_t i = 1; i < session.spans().size(); ++i) {
+    const RequestId prev = session.spans()[i - 1].request;
+    const RequestId cur = session.spans()[i].request;
+    if (prev != 0 && cur != 0 && cur < prev) interleaved = true;
+  }
+  EXPECT_TRUE(interleaved) << "the run must interleave request spans";
+
+  const auto got = analyze(session);
+  const auto want = analyze_naive(session);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), 12u);  // 4 ranks x 3 requests
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const RequestBreakdown& g = got[i];
+    const RequestBreakdown& w = want[i];
+    SCOPED_TRACE("request " + std::to_string(w.request));
+    EXPECT_EQ(g.request, w.request);
+    EXPECT_EQ(g.root, w.root);
+    EXPECT_EQ(g.rank, w.rank);
+    EXPECT_EQ(g.offset, w.offset);
+    EXPECT_EQ(g.length, w.length);
+    EXPECT_EQ(g.total, w.total);
+    ASSERT_EQ(g.subs.size(), w.subs.size());
+    for (std::size_t k = 0; k < g.subs.size(); ++k) {
+      EXPECT_EQ(g.subs[k].id, w.subs[k].id);
+      EXPECT_EQ(g.subs[k].server, w.subs[k].server);
+      EXPECT_EQ(g.subs[k].fragment, w.subs[k].fragment);
+      EXPECT_EQ(g.subs[k].duration, w.subs[k].duration);
+    }
+    EXPECT_EQ(g.slowest, w.slowest);
+    EXPECT_EQ(g.median, w.median);
+    EXPECT_EQ(g.magnification, w.magnification);
+    EXPECT_EQ(g.straggler_is_fragment, w.straggler_is_fragment);
+    EXPECT_EQ(g.category_exclusive, w.category_exclusive);
+  }
+}
+
+/// The exporters' output for one fully traced unaligned run.
+struct TraceOutput {
+  std::string chrome_json;
+  std::string report;
+};
+
+TraceOutput traced_unaligned() {
+  cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
+  TraceSession session(c.sim());
+  c.set_trace(&session);
+  read_unaligned(c, 3);
+  TraceOutput out;
+  std::ostringstream json;
+  write_chrome_trace(json, session);
+  out.chrome_json = json.str();
+  std::ostringstream report;
+  write_straggler_report(report, session, 5);
+  out.report = report.str();
+  return out;
+}
+
+TEST(ClusterTracing, FullTraceExportsAreDeterministic) {
+  const TraceOutput a = traced_unaligned();
+  const TraceOutput b = traced_unaligned();
   EXPECT_EQ(a.chrome_json, b.chrome_json);
-
-  // 4 ranks x 3 iterations = 12 requests; retention respects the bounds.
-  EXPECT_EQ(a.requests_traced, 12u);
-  EXPECT_GT(a.spans_recorded, 0u);
-  ASSERT_FALSE(a.retained.empty());
-  EXPECT_LE(a.retained.size(),
-            cfg.keep_slowest + (a.requests_traced + cfg.sample_every - 1) /
-                                   cfg.sample_every);
-  // Retained trees flow through the analyzer and the Chrome exporter.  The
-  // analyzer may see a few extra request roots beyond the retained trees —
-  // late request-tagged spans (post-completion staging) still sit in the
-  // working set — but the count is deterministic.
-  EXPECT_GE(a.analyzed, a.retained.size());
-  EXPECT_EQ(a.analyzed, b.analyzed);
+  EXPECT_EQ(a.report, b.report);
   EXPECT_NE(a.chrome_json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(a.chrome_json.find("\"traceEvents\":["), std::string::npos);
+  EXPECT_NE(a.report.find("12 traced request(s)"), std::string::npos);
 }
 
 TEST(ClusterProfiler, AttributionCoversTimelineWithoutPerturbingIt) {
@@ -569,13 +570,7 @@ TEST(ClusterProfiler, AttributionCoversTimelineWithoutPerturbingIt) {
   cluster::Cluster c(cluster::ClusterConfig::with_ibridge());
   SimProfiler prof;
   c.set_profiler(&prof);
-  auto fh = c.create_file("data", 2LL << 30);
-  mpiio::MpiFile file(c.client(), fh);
-  mpiio::MpiEnvironment group(c.sim(), c.client(), 4);
-  group.launch(
-      [&](mpiio::MpiContext ctx) { return reader(ctx, file, 3); });
-  c.sim().run_while_pending([&] { return group.finished(); });
-  const sim::SimTime flushed = c.drain();
+  const sim::SimTime flushed = read_unaligned(c, 3);
   const sim::Bytes served = c.total_bytes_served();
 
   EXPECT_EQ(off.flushed, flushed)

@@ -15,7 +15,7 @@ SeekProfile learn(const HddParams& params) {
   HddParams p = params;
   p.anticipation_ms = 0.0;
   HddModel disk(sim, p);
-  return DeviceProfiler().profile(sim, disk);
+  return profile_device(sim, disk);
 }
 
 TEST(SeekProfile, InterpolatesBetweenSamples) {

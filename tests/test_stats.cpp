@@ -2,6 +2,7 @@
 // printers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -210,6 +211,37 @@ TEST(Histogram, MergeAndClear) {
   a.clear();
   EXPECT_EQ(a.count(), 0u);
   EXPECT_DOUBLE_EQ(a.percentile(50.0), 0.0);
+}
+
+TEST(Histogram, IncrementalSortAndMergeMatchFullSort) {
+  // Adds, queries and merges interleave as under the metrics sampler: three
+  // growing histograms, one of them queried between rounds, merged into a
+  // fresh one each round.  Every percentile must be the nearest-rank order
+  // statistic of a full sort of all samples.
+  sim::Rng rng(11);
+  Histogram parts[3];
+  std::vector<double> all;
+  for (int round = 0; round < 12; ++round) {
+    for (auto& h : parts) {
+      for (int i = 0; i < 40; ++i) {
+        const double x = static_cast<double>(rng.below(64)) - 16.0 +
+                         (rng.chance(0.5) ? rng.uniform01() : 0.0);
+        h.add(x);
+        all.push_back(x);
+      }
+    }
+    (void)parts[0].median();
+    Histogram merged;
+    for (const auto& h : parts) merged.merge(h);
+    std::vector<double> ref = all;
+    std::sort(ref.begin(), ref.end());
+    ASSERT_EQ(merged.count(), ref.size());
+    for (double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0}) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(p / 100.0 * static_cast<double>(ref.size())));
+      EXPECT_EQ(merged.percentile(p), ref[rank == 0 ? 0 : rank - 1]) << p;
+    }
+  }
 }
 
 TEST(ServiceTimeMeter, AveragesMillis) {

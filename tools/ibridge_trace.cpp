@@ -1,5 +1,5 @@
 // ibridge-trace — run an unaligned parallel workload under full request
-// tracing and export the results.
+// tracing and the sim-core profiler, and export the results.
 //
 //   ibridge-trace [stock|ibridge|ssd-only] [options]
 //
@@ -11,9 +11,8 @@
 //     --metrics FILE   end-of-run metrics CSV                 (off by default)
 //     --top N          rows in the straggler report           (default 10)
 //     --interval-ms M  metrics sampling cadence, sim time     (default 50)
-//     --flight         bounded flight-recorder retention instead of
-//                      full tracing (keeps the slowest requests plus a
-//                      deterministic 1-in-K sample; same exporters)
+//     --wall           also attribute host CPU per subsystem, and print
+//                      the run's wall time and peak RSS
 //
 // The workload (workloads/magnification.hpp) reproduces the Figure 3
 // magnification scenario: a 16-process group reads k*64KB+1KB requests (the
@@ -21,7 +20,11 @@
 // with random 64 KB reads.  The straggler report then shows each request's
 // per-layer latency breakdown and magnification factor (slowest / median
 // sibling sub-request); with the fragment enabled, the fragment sub-requests
-// dominate the stragglers.
+// dominate the stragglers.  A "where the time went" table then attributes
+// the run's events and simulated (with --wall, also host) time to
+// client/server/cache/disk/ssd; the --csv series carries the same
+// profiler rows (sim.*, prof.*) per interval, next to every server's
+// served bytes and service-time tails.
 //
 // Open the JSON in https://ui.perfetto.dev or chrome://tracing.
 #include <cstdio>
@@ -33,8 +36,10 @@
 
 #include "cluster/cluster.hpp"
 #include "exp/cli.hpp"
+#include "exp/gauge.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "workloads/magnification.hpp"
 
@@ -54,6 +59,24 @@ bool write_file(const std::string& path, const char* what,
   return true;
 }
 
+void print_profile(const obs::SimProfiler& prof) {
+  const bool wall = prof.wall_timing_enabled();
+  std::printf("\nwhere the time went (simulated%s):\n", wall ? " + host" : "");
+  std::printf("  %-10s %12s %14s", "category", "events", "model ms");
+  if (wall) std::printf(" %14s", "host ms");
+  std::printf("\n");
+  for (std::size_t cat = 0; cat < prof.category_count(); ++cat) {
+    const int ci = static_cast<int>(cat);
+    std::printf("  %-10s %12llu %14.3f", prof.category_name(ci),
+                static_cast<unsigned long long>(prof.events(ci)),
+                static_cast<double>(prof.model_ns(ci)) / 1e6);
+    if (wall) {
+      std::printf(" %14.3f", static_cast<double>(prof.wall_ns(ci)) / 1e6);
+    }
+    std::printf("\n");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,7 +86,7 @@ int main(int argc, char** argv) {
   std::int64_t requests = 8;
   int k = 4;
   bool fragment = true;
-  bool flight = false;
+  bool wall = false;
   std::size_t top = 10;
   std::int64_t interval_ms = 50;
 
@@ -86,8 +109,8 @@ int main(int argc, char** argv) {
           exp::require_int("ibridge-trace", "--k", next(), 1, 7));
     } else if (a == "--no-fragment") {
       fragment = false;
-    } else if (a == "--flight") {
-      flight = true;
+    } else if (a == "--wall") {
+      wall = true;
     } else if (a == "--out") {
       out = next();
     } else if (a == "--csv") {
@@ -103,7 +126,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: ibridge-trace [stock|ibridge|ssd-only] "
-                   "[--requests N] [--k N] [--no-fragment] [--flight] "
+                   "[--requests N] [--k N] [--no-fragment] [--wall] "
                    "[--out FILE] [--csv FILE] [--metrics FILE] [--top N] "
                    "[--interval-ms M]\n");
       return 2;
@@ -123,10 +146,12 @@ int main(int argc, char** argv) {
     cc = cluster::ClusterConfig::stock();
   }
 
+  const exp::Stopwatch stopwatch;
   cluster::Cluster c(cc);
   obs::TraceSession session(c.sim());
-  if (flight) session.enable_flight_recorder(obs::FlightConfig{});
   c.set_trace(&session);
+  obs::SimProfiler prof(/*enable_wall_timing=*/wall);
+  c.set_profiler(&prof);
   obs::TimeSeries series;
   c.start_metrics_sampler(sim::SimTime::millis(interval_ms), &series);
 
@@ -141,20 +166,20 @@ int main(int argc, char** argv) {
               static_cast<long long>(req_size),
               fragment ? " (1 KB fragment on server k)" : "");
 
-  workloads::run_magnification(c, wl);
+  const workloads::WorkloadResult run = workloads::run_magnification(c, wl);
 
   obs::write_straggler_report(std::cout, session, top);
-  if (flight) {
-    std::printf(
-        "\nflight recorder: %llu spans recorded, %zu requests retained of "
-        "%llu traced\n",
-        static_cast<unsigned long long>(session.spans_recorded()),
-        session.requests_retained(),
-        static_cast<unsigned long long>(session.requests_traced()));
-  } else {
-    std::printf("\nspans recorded: %zu over %llu traced requests\n",
-                session.spans().size(),
-                static_cast<unsigned long long>(session.requests_traced()));
+  std::printf("\nspans recorded: %zu over %llu traced requests\n",
+              session.spans().size(),
+              static_cast<unsigned long long>(session.requests_traced()));
+  // The workload's own end times: sim().now() after drain() also counts
+  // the idle daemon wake-ups that drain() runs down.
+  std::printf("simulated end: access phase %.3f ms, write-back drain %.3f ms\n",
+              run.io_elapsed.to_millis(), run.elapsed.to_millis());
+  print_profile(prof);
+  if (wall) {
+    std::printf("\nwall %.2f s, peak RSS %.1f MB\n", stopwatch.seconds(),
+                exp::peak_rss_mb());
   }
 
   if (!write_file(out, "chrome trace", [&](std::ostream& os) {
