@@ -10,13 +10,6 @@
 
 namespace ibridge::exp {
 
-void Gauge::add_metrics(const obs::MetricsRegistry& reg,
-                        const std::string& prefix) {
-  for (const auto& [name, value] : reg.flatten()) {
-    model_[prefix + name] = value;
-  }
-}
-
 namespace {
 
 /// Round-trip double formatting: shortest-ish, locale-independent, and —

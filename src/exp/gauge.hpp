@@ -24,8 +24,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-
-#include "obs/metrics.hpp"
+#include <utility>
 
 namespace ibridge::exp {
 
@@ -40,10 +39,6 @@ class Gauge {
 
   /// Record a host wall-clock measurement.
   void set_wall(const std::string& key, double value) { wall_[key] = value; }
-
-  /// Copy every flattened row of `reg` into the model section, prefixed.
-  void add_metrics(const obs::MetricsRegistry& reg,
-                   const std::string& prefix = "");
 
   const std::map<std::string, double>& model() const { return model_; }
   const std::map<std::string, double>& wall() const { return wall_; }

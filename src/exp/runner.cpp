@@ -1,10 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
-
-#include "exp/gauge.hpp"
 
 namespace ibridge::exp {
 
@@ -26,26 +23,11 @@ Runner::~Runner() {
   for (std::thread& t : workers_) t.join();
 }
 
-void Runner::set_progress(std::function<void(const Progress&)> cb,
-                          double interval_s) {
-  progress_ = std::move(cb);
-  progress_interval_ = std::max(interval_s, 0.01);
-}
-
 void Runner::run(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  const Stopwatch sw;
   if (workers_.empty() || n == 1) {
     // Serial reference path: no threads, no locks, exact program order.
-    double next_emit = progress_interval_;
-    for (int i = 0; i < n; ++i) {
-      fn(i);
-      if (progress_ && sw.seconds() >= next_emit) {
-        progress_(Progress{i + 1, n, sw.seconds()});
-        next_emit = sw.seconds() + progress_interval_;
-      }
-    }
-    if (progress_) progress_(Progress{n, n, sw.seconds()});
+    for (int i = 0; i < n; ++i) fn(i);
     return;
   }
 
@@ -55,23 +37,7 @@ void Runner::run(int n, const std::function<void(int)>& fn) {
   next_ = 0;
   completed_ = 0;
   work_cv_.notify_all();
-  if (!progress_) {
-    done_cv_.wait(lock, [this] { return completed_ == batch_n_; });
-  } else {
-    // Wake on the reporting interval, deliver a snapshot on the calling
-    // thread (lock dropped), and loop until the batch drains.  The final
-    // iteration reports completed == total.
-    while (true) {
-      done_cv_.wait_for(
-          lock, std::chrono::duration<double>(progress_interval_),
-          [this] { return completed_ == batch_n_; });
-      const Progress p{completed_, batch_n_, sw.seconds()};
-      lock.unlock();
-      progress_(p);
-      lock.lock();
-      if (completed_ == batch_n_) break;
-    }
-  }
+  done_cv_.wait(lock, [this] { return completed_ == batch_n_; });
   fn_ = nullptr;
   batch_n_ = 0;
   if (error_ != nullptr) {

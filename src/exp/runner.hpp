@@ -41,22 +41,6 @@ class Runner {
 
   int jobs() const { return jobs_; }
 
-  /// One progress snapshot of the batch currently in run().
-  struct Progress {
-    int completed = 0;    ///< jobs finished so far
-    int total = 0;        ///< batch size
-    double seconds = 0.0; ///< host time since the batch started
-  };
-
-  /// Install a periodic progress callback (nullptr/empty detaches): during
-  /// run(), a snapshot is delivered roughly every `interval_s` host seconds
-  /// plus once when the batch completes.  The callback always runs on the
-  /// calling thread — never on a worker — so it may print or update a
-  /// Gauge without synchronization.  Progress is wall-clock plumbing only;
-  /// it cannot affect job results.  Not callable while a run() is active.
-  void set_progress(std::function<void(const Progress&)> cb,
-                    double interval_s = 1.0);
-
   /// Invoke fn(i) for every i in [0, n), distributed over the pool; blocks
   /// until all n calls returned.  fn must not touch shared mutable state
   /// except through its own index (e.g. writing out[i]).
@@ -90,8 +74,6 @@ class Runner {
   int completed_ = 0;  // jobs finished (success or failure)
   bool stop_ = false;
   std::exception_ptr error_;
-  std::function<void(const Progress&)> progress_;
-  double progress_interval_ = 1.0;
 };
 
 }  // namespace ibridge::exp

@@ -17,7 +17,7 @@
 // directly above, of the form
 //
 //     // NOLINT-style marker: `lint:` followed by a key and a reason
-//     (e.g. units-ok, include-ok — see suppression_keys() in rules.cpp)
+//     (pointer-key-ok, the one key — see suppression_keys() in rules.cpp)
 //
 // The reason in parentheses is mandatory; a reasonless, unknown, or unused
 // suppression is itself a diagnostic, so the suppression inventory stays

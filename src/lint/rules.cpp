@@ -47,11 +47,11 @@ const std::map<std::string, std::set<std::string>>& layer_allowlist() {
         "mpiio"}},
       {"workloads",
        {"sim", "stats", "net", "storage", "fsim", "core", "pvfs", "cluster",
-        "mpiio", "exp"}},
+        "mpiio"}},
       {"check",
        {"sim", "stats", "net", "obs", "storage", "fsim", "core", "pvfs",
         "cluster", "fault", "mpiio", "plfs", "workloads"}},
-      {"exp", {"sim", "stats", "obs"}},
+      {"exp", {}},
       {"lint", {}},
   };
   return kAllow;
@@ -63,11 +63,7 @@ const std::map<std::string, std::set<std::string>>& layer_allowlist() {
 /// escape hatch.
 const std::map<std::string, std::string>& suppression_keys() {
   static const std::map<std::string, std::string> kKeys = {
-      {"units-ok", "raw-unit-type"},
-      {"include-ok", "include-what-you-use"},
       {"pointer-key-ok", "pointer-key"},
-      {"rng-ok", "rng-construction"},
-      {"wall-clock-ok", "wall-clock"},
   };
   return kKeys;
 }

@@ -42,7 +42,7 @@ namespace ibridge::stats {
 /// land in underflow/overflow counters whose quantile answer is the exact
 /// observed min/max.  The bucket-index range is therefore fixed by
 /// construction — (kMaxExp - kMinExp) * B buckets at most — which is the
-/// O(1) memory bound (asserted by bench_obs --check); occupied buckets are
+/// O(1) memory bound (tests/test_stats.cpp checks it); occupied buckets are
 /// stored sparsely, so typical metrics use a few hundred bytes.
 class QuantileSketch {
  public:
@@ -126,7 +126,7 @@ class QuantileSketch {
 
   std::size_t bucket_count() const { return buckets_.size(); }
 
-  /// Bytes held beyond sizeof(*this) — the O(1) bound bench_obs asserts.
+  /// Bytes held, sizeof(*this) included: the O(1) bound the tests check.
   std::size_t memory_bytes() const {
     return sizeof(*this) + buckets_.capacity() * sizeof(Bucket);
   }

@@ -1,14 +1,14 @@
-# Command-line checks for the simulation benches, run by ctest as
+# Command-line checks for bench_paper, run by ctest as
 #
-#   cmake -DMODE=<args|jobs> -DBENCH_PAPER=<exe> -DBENCH_FAULTS=<exe>
-#         -DBENCH_FUZZMIX=<exe> -DWORK_DIR=<dir> -P bench_paper_cli.cmake
+#   cmake -DMODE=<args|jobs> -DBENCH_PAPER=<exe> -DWORK_DIR=<dir>
+#         -P bench_paper_cli.cmake
 #
 # MODE=args: every malformed command line exits 2 (the tools' usage-error
-#   code) before running anything, in bench_paper and in the two benches
-#   that share its parser.
-# MODE=jobs: the cheap figures print byte-identical stdout at --jobs 1 and
-#   --jobs 3, and write BENCH_*.json files that are byte-identical once
-#   their wall sections are dropped.
+#   code) before running anything.
+# MODE=jobs: the cheap figures, the fuzz-mix and fault studies among them,
+#   print byte-identical stdout at --jobs 1 and --jobs 3, and write
+#   BENCH_*.json files that are byte-identical once their wall sections are
+#   dropped.
 
 if(MODE STREQUAL "args")
   foreach(bad "--bogus" "fig99" "--jobs" "--jobs 0" "--jobs x" "--full -v"
@@ -20,18 +20,8 @@ if(MODE STREQUAL "args")
       message(FATAL_ERROR "bench_paper ${bad}: exit '${rc}', want 2")
     endif()
   endforeach()
-  # Plain words are figure ids only for bench_paper.
-  foreach(exe "${BENCH_FAULTS}" "${BENCH_FUZZMIX}")
-    foreach(bad "--bogus" "table1" "--jobs")
-      execute_process(COMMAND "${exe}" ${bad} RESULT_VARIABLE rc
-                      OUTPUT_QUIET ERROR_QUIET)
-      if(NOT rc EQUAL 2)
-        message(FATAL_ERROR "${exe} ${bad}: exit '${rc}', want 2")
-      endif()
-    endforeach()
-  endforeach()
 elseif(MODE STREQUAL "jobs")
-  set(figures table1 table2 table3 fig3 fig7 fig13)
+  set(figures table1 table2 table3 fig3 fig7 fig13 fuzzmix faults)
   foreach(jobs 1 3)
     set(dir "${WORK_DIR}/jobs${jobs}")
     file(REMOVE_RECURSE "${dir}")
@@ -49,8 +39,8 @@ elseif(MODE STREQUAL "jobs")
 
   file(GLOB gauges RELATIVE "${WORK_DIR}/jobs1" "${WORK_DIR}/jobs1/BENCH_*.json")
   list(LENGTH gauges count)
-  if(NOT count EQUAL 6)
-    message(FATAL_ERROR "want 6 gauges, got ${count}: ${gauges}")
+  if(NOT count EQUAL 8)
+    message(FATAL_ERROR "want 8 gauges, got ${count}: ${gauges}")
   endif()
   foreach(gauge ${gauges})
     foreach(jobs 1 3)

@@ -1,11 +1,11 @@
 // Fixture: a suppression without its mandatory (reason) still silences the
 // underlying rule, but the annotation audit must fire instead (once).
-#include <cstdint>
+#include <map>
 
 namespace fixture {
 
-struct Span {
-  std::int64_t raw_len = 0;  // lint: units-ok
+struct AddrIndex {
+  std::map<int*, int> by_addr_;  // lint: pointer-key-ok
 };
 
 }  // namespace fixture

@@ -2,6 +2,6 @@
 // annotation audit (once), so stale escapes get deleted.
 namespace fixture {
 
-inline const int plain = 0;  // lint: units-ok (nothing here needs this)
+inline const int plain = 0;  // lint: pointer-key-ok (nothing here needs this)
 
 }  // namespace fixture

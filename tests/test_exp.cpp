@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -87,40 +86,6 @@ TEST(Runner, ReusableAcrossBatches) {
 TEST(Runner, DefaultJobsIsClamped) {
   EXPECT_GE(Runner::default_jobs(), 1);
   EXPECT_LE(Runner::default_jobs(), 16);
-}
-
-TEST(Runner, ProgressSnapshotsArriveOnCallingThread) {
-  for (int jobs : {1, 4}) {
-    Runner r(jobs);
-    const auto caller = std::this_thread::get_id();
-    std::vector<Runner::Progress> seen;
-    bool off_thread = false;
-    r.set_progress(
-        [&](const Runner::Progress& p) {
-          if (std::this_thread::get_id() != caller) off_thread = true;
-          seen.push_back(p);
-        },
-        0.01);
-    r.run(12, [](int) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    });
-
-    ASSERT_FALSE(seen.empty()) << "jobs=" << jobs;
-    EXPECT_FALSE(off_thread) << "progress must run on the calling thread";
-    EXPECT_EQ(seen.back().completed, 12) << "final snapshot sees the batch";
-    EXPECT_EQ(seen.back().total, 12);
-    EXPECT_GE(seen.back().seconds, 0.0);
-    for (std::size_t i = 1; i < seen.size(); ++i) {
-      EXPECT_LE(seen[i - 1].completed, seen[i].completed) << "monotonic";
-    }
-
-    // Detaching stops delivery; the runner keeps working.
-    r.set_progress(nullptr);
-    const std::size_t before = seen.size();
-    EXPECT_EQ(r.map<int>(3, [](int i) { return i; }),
-              (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(seen.size(), before);
-  }
 }
 
 TEST(Runner, SketchMetricOutputIsJobCountInvariant) {

@@ -266,13 +266,15 @@ std::vector<double> constant_stream(int n) {
   return std::vector<double>(static_cast<std::size_t>(n), 42.0);
 }
 
+/// Cache hits and disk misses: one sample in three lands near 100-110,
+/// the rest near 1-2.
 std::vector<double> bimodal_stream(int n, std::uint64_t seed) {
   sim::Rng rng(seed);
   std::vector<double> v;
   v.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    v.push_back(rng.uniform01() < 0.5 ? 1.0 + rng.uniform01()
-                                      : 100.0 + 10.0 * rng.uniform01());
+    v.push_back(rng.below(3) == 0 ? 100.0 + 10.0 * rng.uniform01()
+                                  : 1.0 + rng.uniform01());
   }
   return v;
 }
@@ -282,31 +284,57 @@ std::vector<double> heavy_tail_stream(int n, std::uint64_t seed) {
   std::vector<double> v;
   v.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    v.push_back(std::ldexp(1.0, static_cast<int>(rng.below(20))) *
-                (1.0 + rng.uniform01()));
+    const double octave = std::ldexp(1.0, static_cast<int>(rng.below(20)));
+    v.push_back(octave * (1.0 + rng.uniform01()));
   }
   return v;
 }
 
 TEST(QuantileSketch, WithinRelativeErrorOnAdversarialDistributions) {
-  const std::vector<std::vector<double>> streams = {
-      constant_stream(5000), bimodal_stream(5000, 11),
-      heavy_tail_stream(5000, 12)};
-  for (const auto& stream : streams) {
+  struct Case {
+    std::vector<double> stream;
+    /// The sketch's pinned p50/p95/p99 and digest; a zero digest pins
+    /// nothing.
+    double p50 = 0, p95 = 0, p99 = 0;
+    std::uint64_t digest = 0;
+  };
+  // The 200,000-sample streams each draw from a fresh Rng(0xd15e); their
+  // pins catch any change to the bucketing, interpolation or digest.
+  const std::vector<Case> cases = {
+      {constant_stream(5000)},
+      {bimodal_stream(5000, 11)},
+      {heavy_tail_stream(5000, 12)},
+      {constant_stream(200'000), 42, 42, 42,
+       (2494283305ULL << 32) | 2069992220ULL},
+      {bimodal_stream(200'000, 0xd15e), 1.7549999999999999,
+       108.48000000000002, 109.75999999999999,
+       (2333712666ULL << 32) | 3698144406ULL},
+      {heavy_tail_stream(200'000, 0xd15e), 1029.1200000000008,
+       522977.28000000026, 946339.83999999985,
+       (699695325ULL << 32) | 2477227810ULL},
+  };
+  for (const Case& c : cases) {
     QuantileSketch sk;
     Histogram exact;
-    for (double x : stream) {
+    for (double x : c.stream) {
       sk.add(x);
       exact.add(x);
     }
     for (double p : {50.0, 95.0, 99.0}) {
       const double e = exact.percentile(p);
       EXPECT_NEAR(sk.percentile(p), e, e * sk.relative_error() + 1e-12)
-          << "p" << p << " over a " << stream.size() << "-sample stream";
+          << "p" << p << " over a " << c.stream.size() << "-sample stream";
     }
     EXPECT_EQ(sk.count(), exact.count());
     EXPECT_DOUBLE_EQ(sk.min(), exact.min());
     EXPECT_DOUBLE_EQ(sk.max(), exact.max());
+    EXPECT_LE(sk.memory_bytes(), 64u * 1024u) << "the per-metric budget";
+    if (c.digest != 0) {
+      EXPECT_DOUBLE_EQ(sk.percentile(50.0), c.p50);
+      EXPECT_DOUBLE_EQ(sk.percentile(95.0), c.p95);
+      EXPECT_DOUBLE_EQ(sk.percentile(99.0), c.p99);
+      EXPECT_EQ(sk.digest(), c.digest) << c.stream.size() << " samples";
+    }
   }
 }
 
@@ -366,7 +394,7 @@ TEST(QuantileSketch, MemoryStaysBoundedRegardlessOfSampleCount) {
                 static_cast<std::size_t>(QuantileSketch::kBucketsPerOctave));
 
   // A realistic latency metric (two modes, ms scale) stays under the
-  // 64 KiB per-metric budget bench_obs --check enforces.
+  // 64 KiB per-metric budget.
   QuantileSketch lat;
   for (double x : bimodal_stream(100000, 9)) lat.add(x);
   EXPECT_LE(lat.memory_bytes(), 64u * 1024u);
