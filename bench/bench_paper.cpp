@@ -150,13 +150,6 @@ cluster::ClusterConfig system_for(bool ibridge) {
                  : cluster::ClusterConfig::stock();
 }
 
-/// Throughput including the end-of-run write-back drain, as the paper
-/// measures ("we include ... the time for writing dirty data back").
-double mbps_total(const workloads::WorkloadResult& r) {
-  const double s = r.elapsed.to_seconds();
-  return s > 0 ? static_cast<double>(r.bytes) / 1e6 / s : 0.0;
-}
-
 workloads::MpiIoTestConfig mpi_io_test(const Scale& scale, int procs,
                                        std::int64_t size, bool write,
                                        std::int64_t shift = 0) {
@@ -188,7 +181,7 @@ Values measured(const cluster::ClusterConfig& cc, const Config& cfg,
   }
   const sim::Bytes ssd_before = c.ssd_bytes_served();
   const auto r = run(c, cfg);
-  return {{"mbps", mbps_total(r)},
+  return {{"mbps", r.mbps()},
           {"bytes", static_cast<double>(r.bytes)},
           {"ssd_bytes",
            static_cast<double>((c.ssd_bytes_served() - ssd_before).count())}};
@@ -463,15 +456,12 @@ Values device_mbps(const Params& params, storage::IoDirection dir, bool seq,
   const auto reqs = seq ? sequential(dir, 128)
                         : random4k(dir, random_count, dev.capacity_sectors(),
                                    seed);
-  std::int64_t bytes = 0;
   const sim::SimTime t0 = sim.now();
-  for (const auto& r : reqs) {
-    dev.submit(r);
-    bytes += r.bytes();
-  }
+  for (const auto& r : reqs) dev.submit(r);
   sim.run();
-  return {{"mbps",
-           static_cast<double>(bytes) / 1e6 / (sim.now() - t0).to_seconds()}};
+  const double bytes =
+      static_cast<double>(dev.bytes_read() + dev.bytes_written());
+  return {{"mbps", bytes / 1e6 / (sim.now() - t0).to_seconds()}};
 }
 
 Figure table2(const Scale&) {
@@ -974,7 +964,7 @@ Values hetero(const Scale& scale, const cluster::ClusterConfig& cc) {
   mpiio::MpiFile mfile(c.client(), mfh);
   mpiio::MpiFile bfile(c.client(), bfh);
 
-  workloads::MpiIoTestTally m;
+  workloads::Tally m;
   workloads::BtIoTally b;
   const sim::SimTime t0 = c.sim().now();
   menv.launch([&](mpiio::MpiContext ctx) {
@@ -1115,7 +1105,7 @@ double run65k(const Scale& scale, const cluster::ClusterConfig& cc,
   cluster::Cluster c(cc);
   auto cfg = mpi_io_test(scale, 64, 65 * 1024, write);
   cfg.access_bytes = scale.access_bytes / 2;
-  return mbps_total(run_mpi_io_test(c, cfg));
+  return run_mpi_io_test(c, cfg).mbps();
 }
 
 Figure ablation(const Scale& scale) {

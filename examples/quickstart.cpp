@@ -33,8 +33,8 @@ Result run(const cluster::ClusterConfig& cc, std::int64_t request_size) {
   w.access_bytes = 400LL * 1000 * 1000;
   w.write = true;
   const auto r = run_mpi_io_test(c, w);
-  return {r.mbps(),
-          static_cast<double>(r.bytes) / 1e6 / r.elapsed.to_seconds()};
+  return {static_cast<double>(r.bytes) / 1e6 / r.io_elapsed.to_seconds(),
+          r.mbps()};
 }
 
 }  // namespace

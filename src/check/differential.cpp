@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "check/digest.hpp"
 #include "fault/engine.hpp"
+#include "sim/digest.hpp"
 #include "sim/task.hpp"
 
 namespace ibridge::check {
@@ -23,7 +23,7 @@ struct DriveState {
   // reference value; unwritten bytes are still cross-checked across policies
   // through the image digest.
   std::vector<std::uint8_t> written;
-  Digest payload;
+  sim::Digest payload;
   std::uint64_t requests = 0;
   bool ryw_ok = true;
   std::string failure;
@@ -91,7 +91,7 @@ sim::Task<> read_back(ReadbackState& st) {
 }
 
 std::uint64_t stats_digest_of(cluster::Cluster& cl, const RunReport& r) {
-  Digest d;
+  sim::Digest d;
   d.update_u64(static_cast<std::uint64_t>(r.policy))
       .update_u64(r.requests)
       .update_u64(r.events)
@@ -196,7 +196,8 @@ RunReport run_case(cluster::Cluster& cluster, const FuzzCase& c, Policy p,
   r.failure = st.failure;
   if (engine != nullptr) append_failure(r.failure, engine->failure());
   r.payload_digest = st.payload.value();
-  r.image_digest = Digest().update(std::span<const std::byte>(rb.data)).value();
+  r.image_digest =
+      sim::Digest().update(std::span<const std::byte>(rb.data)).value();
   bool image_ok = rb.data.size() == st.image.size();
   for (std::size_t k = 0; image_ok && k < rb.data.size(); ++k) {
     image_ok = !st.written[k] || rb.data[k] == st.image[k];

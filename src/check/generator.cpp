@@ -33,7 +33,7 @@ FuzzCase generate_case(std::uint64_t seed, const GenLimits& lim) {
   cfg.stripe_unit = pick(rng, {4 << 10, 8 << 10, 16 << 10, 64 << 10});
   cfg.client_nodes = static_cast<int>(rng.uniform(1, 2));
   cfg.procs_per_node = 4;
-  cfg.client.seed = seed ^ 0x9e3779b97f4a7c15ULL;
+  cfg.client_seed = seed ^ 0x9e3779b97f4a7c15ULL;
 
   // Payload comparison across policies needs byte-accurate backing stores.
   cfg.server.data_mode = fsim::DataMode::kVerify;
@@ -61,9 +61,6 @@ FuzzCase generate_case(std::uint64_t seed, const GenLimits& lim) {
   // Frequent write-back wake-ups interleave the daemon with the foreground
   // stream (more oracle-visible states per case).
   ib.writeback_interval = sim::SimTime::millis(rng.uniform(5, 50));
-
-  cfg.client.tag_fragments = true;
-  cfg.client.fragment_threshold = ib.fragment_threshold;
 
   // ---- file and trace ----
   c.file_bytes =
@@ -121,12 +118,10 @@ cluster::ClusterConfig make_config(const FuzzCase& c, Policy p) {
     case Policy::kDiskOnly:
       cfg.server.ibridge = core::IBridgeConfig::stock();
       cfg.server.storage_mode = pvfs::StorageMode::kDisk;
-      cfg.client.tag_fragments = false;
       break;
     case Policy::kSsdOnly:
       cfg.server.ibridge = core::IBridgeConfig::stock();
       cfg.server.storage_mode = pvfs::StorageMode::kSsdOnly;
-      cfg.client.tag_fragments = false;
       break;
   }
   return cfg;

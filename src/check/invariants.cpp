@@ -5,7 +5,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "check/digest.hpp"
+#include "sim/digest.hpp"
 
 namespace ibridge::check {
 
@@ -243,7 +243,7 @@ std::vector<std::string> verify_recovered_table(const MappingTable& t,
 }
 
 std::uint64_t table_digest(const MappingTable& t) {
-  Digest d;
+  sim::Digest d;
   for (EntryId id : t.all_entries()) {
     const CacheEntry& e = t.get(id);
     d.update_u64(e.file)

@@ -9,7 +9,6 @@ namespace ibridge::cluster {
 ClusterConfig ClusterConfig::stock() {
   ClusterConfig c;
   c.server.ibridge = core::IBridgeConfig::stock();
-  c.client.tag_fragments = false;
   return c;
 }
 
@@ -17,8 +16,6 @@ ClusterConfig ClusterConfig::with_ibridge(core::IBridgeConfig ib) {
   ClusterConfig c;
   ib.enabled = true;
   c.server.ibridge = ib;
-  c.client.tag_fragments = true;
-  c.client.fragment_threshold = ib.fragment_threshold;
   return c;
 }
 
@@ -26,7 +23,6 @@ ClusterConfig ClusterConfig::ssd_only() {
   ClusterConfig c;
   c.server.ibridge = core::IBridgeConfig::stock();
   c.server.storage_mode = pvfs::StorageMode::kSsdOnly;
-  c.client.tag_fragments = false;
   return c;
 }
 
@@ -103,8 +99,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   }
 
   mds_nic_ = &net_->add_endpoint("mds");
-  mds_ = std::make_unique<pvfs::MetadataServer>(
-      *front_, raw, *mds_nic_, cfg.server.ibridge.t_report_interval);
+  mds_ = std::make_unique<pvfs::MetadataServer>(*front_, raw, *mds_nic_);
   mds_->set_shard_group(group_.get());
   mds_->start_board_daemon();
 
@@ -112,10 +107,9 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     client_nics_.push_back(&net_->add_endpoint("cn" + std::to_string(i)));
   }
 
-  pvfs::ClientConfig cc = cfg.client;
-  cc.procs_per_node = cfg.procs_per_node;
-  client_ = std::make_unique<pvfs::Client>(*front_, *mds_, raw, *net_,
-                                           client_nics_, cc);
+  client_ = std::make_unique<pvfs::Client>(
+      *front_, *mds_, raw, *net_, client_nics_, cfg.procs_per_node,
+      cfg.server.ibridge.fragment_threshold, cfg.client_seed);
 }
 
 Cluster::~Cluster() {
@@ -195,12 +189,8 @@ void Cluster::set_trace(obs::TraceSession* session) {
 
 void Cluster::set_profiler(obs::SimProfiler* profiler) {
   profiler_ = profiler;
-  if (profiler != nullptr) {
-    profiler->set_server_count(servers_.size());
-    client_->set_profiler(profiler, profiler->category("client"));
-  } else {
-    client_->set_profiler(nullptr, 0);
-  }
+  client_->set_profiler(profiler,
+                        profiler != nullptr ? profiler->category("client") : 0);
   // Interns categories — must precede lane creation (lanes size their
   // counters to the categories known at creation).
   for (auto& s : servers_) s->set_profiler(profiler);
@@ -227,6 +217,8 @@ void Cluster::collect_metrics(obs::MetricsRegistry& reg) const {
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const auto& s = *servers_[i];
     const std::string p = "srv" + std::to_string(i) + ".";
+    reg.counter(p + "server.requests") =
+        static_cast<std::int64_t>(s.service_meter().count());
     reg.counter(p + "server.bytes_served") = s.bytes_served().count();
     reg.gauge(p + "server.service_ms.mean") = s.service_meter().mean_ms();
     reg.gauge(p + "server.service_ms.p50") = s.service_meter().p50_ms();
@@ -358,10 +350,9 @@ void Cluster::schedule_sample(sim::SimTime interval, obs::TimeSeries* out,
   });
 }
 
-void Cluster::enable_disk_trace(int server, bool keep_entries) {
+void Cluster::enable_disk_trace(int server) {
   auto& tr = servers_[static_cast<std::size_t>(server)]->disk().trace();
   tr.set_enabled(true);
-  tr.set_keep_entries(keep_entries);
   tr.clear();
 }
 
@@ -385,12 +376,6 @@ sim::Bytes Cluster::ssd_cached_bytes() const {
     if (const auto* c = s->cache()) sum += c->cached_bytes();
   }
   return sum;
-}
-
-double Cluster::avg_service_ms() const {
-  stats::Summary all;
-  for (const auto& s : servers_) all.merge(s->service_meter().summary());
-  return all.mean();
 }
 
 }  // namespace ibridge::cluster

@@ -57,7 +57,8 @@ struct ClusterConfig {
   double adaptive_window_us = 0.0;
   pvfs::DataServerConfig server;
   net::NetworkParams network;
-  pvfs::ClientConfig client;
+  /// Seed of the client's per-request setup-cost jitter.
+  std::uint64_t client_seed = 0x5eed;
 
   /// Convenience named configurations matching the paper's three systems.
   static ClusterConfig stock();
@@ -105,8 +106,9 @@ class Cluster {
   /// absorbs stale daemon timer events) as the program-end timestamp.
   sim::SimTime drain();
 
-  /// Enable block tracing on one server's disk (Figs 2(c-e), 5).
-  void enable_disk_trace(int server, bool keep_entries = false);
+  /// Start (or restart, clearing it) the block-size histogram of one
+  /// server's disk (Figs 2(c-e), 5); every recorder is off until then.
+  void enable_disk_trace(int server);
 
   /// Attach a SimCheck observer to every iBridge cache in the cluster
   /// (nullptr detaches; no-op on stock/SSD-only clusters).
@@ -121,9 +123,8 @@ class Cluster {
 
   /// Attach a SimProfiler to every layer and install one of its lanes as
   /// each simulator's step hook (nullptr detaches everywhere).  Wire before
-  /// running — the profiler interns its categories and sizes its per-server
-  /// heat tables here.  While attached, collect_metrics() also publishes the
-  /// profiler's sim.* / prof.* / srv<N>.prof.* rows.
+  /// running — the profiler interns its categories here.  While attached,
+  /// collect_metrics() also publishes the profiler's sim.* / prof.* rows.
   void set_profiler(obs::SimProfiler* profiler);
 
   /// Publish every component's counters into `reg` under the naming scheme
@@ -147,7 +148,6 @@ class Cluster {
   sim::Bytes total_bytes_served() const;
   sim::Bytes ssd_bytes_served() const;
   sim::Bytes ssd_cached_bytes() const;
-  double avg_service_ms() const;
 
  private:
   void schedule_sample(sim::SimTime interval, obs::TimeSeries* out,

@@ -2,8 +2,9 @@
 //
 // Defaults follow the paper's evaluation setup (Section III-A): 20 KB
 // thresholds for both regular random requests and fragments, a 10 GB SSD
-// cache partition, 1-second T-value reporting, and dynamic SSD-space
-// partitioning between the two request classes.
+// cache partition, and dynamic SSD-space partitioning between the two
+// request classes.  (The 1-second T-value reporting interval is
+// pvfs::kTReportInterval.)
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,7 @@ struct IBridgeConfig {
   bool enabled = true;
 
   /// Sub-requests of multi-server parents smaller than this are fragments.
+  /// The client tags them with this value whether or not iBridge is on.
   std::int64_t fragment_threshold = 20 * 1024;
 
   /// Stand-alone requests smaller than this are regular random requests.
@@ -72,10 +74,6 @@ struct IBridgeConfig {
   /// map stays bounded over arbitrarily long runs while hot regions keep
   /// their relative standing (a coarse exponential decay).
   std::int64_t hot_block_max_regions = 1 << 16;
-
-  /// How often each server reports its T value to the metadata server, and
-  /// how often the metadata server broadcasts the board (1 s default).
-  sim::SimTime t_report_interval = sim::SimTime::seconds(1);
 
   /// Write-back daemon wake interval (its per-wake budget is fixed in
   /// core/cache.cpp).

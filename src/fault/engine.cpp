@@ -210,7 +210,7 @@ sim::Task<> FaultEngine::crash_actor(CrashSpec spec, ActorLane* lane) {
 }
 
 std::uint64_t FaultEngine::digest() const {
-  FaultDigest d;
+  sim::Digest d;
   d.update_u64(schedule_digest(schedule_));
   d.update_u64(shared_.digest.value());
   // Spawn order, so the fold is a pure function of the schedule.

@@ -26,6 +26,7 @@
 #include "fault/model.hpp"
 #include "fault/schedule.hpp"
 #include "obs/trace.hpp"
+#include "sim/digest.hpp"
 #include "sim/sync.hpp"
 
 namespace ibridge::fault {
@@ -83,7 +84,7 @@ class FaultEngine {
   /// which makes the merged values a pure function of the schedule.
   struct ActorLane {
     Stats stats;
-    FaultDigest digest;
+    sim::Digest digest;
     std::string failure;
   };
 

@@ -5,7 +5,7 @@
 // traffic stall the device for a fixed pause — the unsynchronized-GC
 // straggler effect) layered with seeded per-read latency variability.  All
 // state is derived from an explicit seed, and every injected delay is folded
-// into a FaultDigest, so "same seed ⇒ identical pause trace" is a one-value
+// into a sim::Digest, so "same seed ⇒ identical pause trace" is a one-value
 // comparison.
 //
 // DirtyBitmap tracks which positions of the SSD log held dirty data at a
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "fault/schedule.hpp"
+#include "sim/digest.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "sim/units.hpp"
@@ -54,7 +55,7 @@ class SsdFaultModel final : public storage::SsdFaultHook {
   std::uint64_t gc_pauses_ = 0;
   sim::SimTime gc_pause_time_;
   std::uint64_t slow_reads_ = 0;
-  FaultDigest digest_;
+  sim::Digest digest_;
 };
 
 /// Fixed-granule bitmap over the SSD log's byte range.  Positions are

@@ -7,6 +7,9 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/digest.hpp"
+#include "sim/rng.hpp"
+
 namespace ibridge::fault {
 
 namespace {
@@ -207,7 +210,7 @@ bool parse_schedule(std::istream& is, FaultSchedule& s, std::string* error) {
 std::uint64_t schedule_digest(const FaultSchedule& s) {
   FaultSchedule n = s;
   normalize(n);
-  FaultDigest d;
+  sim::Digest d;
   d.update_u64(n.seed);
   d.update_u64(n.gc.size());
   for (const GcSpec& g : n.gc) {
@@ -227,7 +230,7 @@ std::uint64_t schedule_digest(const FaultSchedule& s) {
     d.update_i64(c.server);
     d.update_i64(c.at.ns());
     d.update_i64(c.outage.ns());
-    d.update_bytes(c.phase.data(), c.phase.size());
+    d.update(c.phase);
     d.update_i64(c.drain_budget);
     d.update_i64(c.drain_interval.ns());
   }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace ibridge::fault {
@@ -113,38 +112,5 @@ bool parse_schedule(std::istream& is, FaultSchedule& s,
 
 /// Order-insensitive digest of a (normalized copy of a) schedule.
 std::uint64_t schedule_digest(const FaultSchedule& s);
-
-// --------------------------------------------------------------- digests ----
-
-/// FNV-1a with an avalanche finalizer — the same construction as
-/// check::Digest, re-implemented here because src/check/ depends on
-/// src/fault/, not the other way around.  Used for pause traces and
-/// injected-event streams so determinism is provable by comparing one
-/// 64-bit value.
-class FaultDigest {
- public:
-  void update_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void update_i64(std::int64_t v) {
-    update_u64(static_cast<std::uint64_t>(v));
-  }
-  void update_bytes(const char* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= static_cast<unsigned char>(data[i]);
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t value() const {
-    std::uint64_t s = h_;
-    return sim::splitmix64(s);
-  }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 }  // namespace ibridge::fault

@@ -36,12 +36,6 @@ void SimProfiler::publish(MetricsRegistry& reg) const {
     reg.gauge("prof.model_ms." + suffix) =
         static_cast<double>(model_ns(static_cast<int>(c))) / 1e6;
   }
-  for (std::size_t s = 0; s < heat_ops_.size(); ++s) {
-    const std::string prefix = "srv" + std::to_string(s) + ".prof.";
-    reg.counter(prefix + "heat_ops") =
-        static_cast<std::int64_t>(heat_ops_[s]);
-    reg.counter(prefix + "heat_bytes") = heat_bytes_[s];
-  }
 }
 
 }  // namespace ibridge::obs

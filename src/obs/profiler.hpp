@@ -19,14 +19,14 @@
 //     Wall numbers are host-dependent and never published into the
 //     MetricsRegistry; tools and benches read them via accessors.
 //
-// It also tracks event-queue depth (mean/peak occupancy) and per-server
-// heat counters (operations and bytes served), published as
-// `sim.*`/`prof.*`/`srv<N>.prof.*` metrics — see docs/OBSERVABILITY.md.
+// It also tracks event-queue depth (mean/peak occupancy), published as
+// `sim.*`/`prof.*` metrics — see docs/OBSERVABILITY.md.  (Per-server
+// operations and bytes are the data servers' own counters.)
 //
 // Determinism: both hook callbacks run inside Simulator::step(), which must
 // not allocate (the bench allocation gates count it), so every container is
-// pre-sized during wiring
-// (category()/set_server_count() allocate and must happen before the run).
+// pre-sized during wiring (category() allocates and must happen before the
+// run).
 // The hooks neither allocate nor touch the event queue, so an attached
 // profiler keeps the simulated timeline byte-identical to an unprofiled
 // run.
@@ -71,12 +71,6 @@ class SimProfiler {
   /// Pre-run only — allocates.  Re-interning a name returns the same id.
   int category(const char* name);
 
-  /// Size the per-server heat tables.  Pre-run only — allocates.
-  void set_server_count(std::size_t n) {
-    heat_ops_.assign(n, 0);
-    heat_bytes_.assign(n, 0);
-  }
-
   /// Attribute the currently running event to `cat`.  First mark per event
   /// wins.  Hot path: no allocation, single predictable branch when unset.
   /// Routes to the lane of the simulator executing the event (defined after
@@ -91,15 +85,7 @@ class SimProfiler {
   /// The StepHook to install on simulator k.
   sim::StepHook* lane_hook(std::size_t k);
 
-  /// Record one served operation of `bytes` on `server`.  Hot path.
-  void heat(std::size_t server, std::int64_t bytes) {
-    if (server < heat_ops_.size()) {
-      ++heat_ops_[server];
-      heat_bytes_[server] += bytes;
-    }
-  }
-
-  /// Write `sim.*`, `prof.*`, and `srv<N>.prof.*` rows into the registry.
+  /// Write `sim.*` and `prof.*` rows into the registry.
   /// Model-derived values only — wall times stay out of the registry (they
   /// are host noise; read them via wall_ns()).
   void publish(MetricsRegistry& reg) const;
@@ -125,23 +111,12 @@ class SimProfiler {
   std::size_t queue_depth_peak() const;
   /// Final queue occupancy: the sum of each lane's last-seen depth.
   std::size_t queue_depth_last() const;
-  std::size_t server_count() const { return heat_ops_.size(); }
-  std::uint64_t heat_ops(std::size_t server) const {
-    return heat_ops_[server];
-  }
-  std::int64_t heat_bytes(std::size_t server) const {
-    return heat_bytes_[server];
-  }
 
  private:
   friend class ProfilerLane;
 
   bool wall_;
   std::vector<const char*> names_;  ///< literals; index = category id
-  // Heat tables are per profiler, not per lane: a server's counters are
-  // keyed by server index already, so there is nothing to fan in.
-  std::vector<std::uint64_t> heat_ops_;
-  std::vector<std::int64_t> heat_bytes_;
 
   std::deque<ProfilerLane> lanes_;  ///< stable addresses; one per simulator
   ProfilerLane* active_ = nullptr;  ///< lane of the executing event

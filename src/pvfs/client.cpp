@@ -11,6 +11,14 @@ using storage::IoDirection;
 
 namespace {
 
+/// Per-request client-side setup cost (MPI-IO stack, VFS entry, kernel
+/// scheduling), drawn uniformly from [min, max].  The jitter is what
+/// desynchronizes concurrent ranks — without it the simulated processes
+/// stay in lockstep and the data servers see an unrealistically perfect
+/// sequential stream.
+constexpr double kSetupMinUs = 400.0;
+constexpr double kSetupMaxUs = 1400.0;
+
 /// Checked in read_at/write_at before request() starts: a throw inside the
 /// request coroutine would terminate the process instead of reaching the
 /// caller.
@@ -26,15 +34,16 @@ void require_positive_length(std::int64_t length) {
 
 Client::Client(sim::Simulator& sim, MetadataServer& mds,
                std::vector<DataServer*> servers, net::NetworkModel& net,
-               std::vector<net::Nic*> node_nics, ClientConfig cfg)
+               std::vector<net::Nic*> node_nics, int procs_per_node,
+               std::int64_t fragment_threshold, std::uint64_t seed)
     : sim_(sim),
       mds_(mds),
       servers_(std::move(servers)),
       net_(net),
       node_nics_(std::move(node_nics)),
-      cfg_(cfg),
-      tagger_(sim::Bytes{cfg.fragment_threshold}),
-      rng_(cfg.seed) {
+      procs_per_node_(procs_per_node),
+      tagger_(sim::Bytes{fragment_threshold}),
+      rng_(seed) {
   if (servers_.empty() || node_nics_.empty()) {
     throw std::invalid_argument(
         "pvfs::Client: needs at least one data server and one client NIC");
@@ -84,16 +93,13 @@ sim::Task<sim::SimTime> Client::request(int rank, FileHandle fh,
     trace_->arg(root, "dir", dir == IoDirection::kWrite ? "write" : "read");
   }
 
-  // Client-side request setup cost with jitter (see ClientConfig).
-  if (cfg_.overhead_max_us > 0) {
-    const obs::SpanId setup =
-        root != 0 ? trace_->child(root, "setup", "client") : 0;
-    const double us =
-        cfg_.overhead_min_us +
-        rng_.uniform01() * (cfg_.overhead_max_us - cfg_.overhead_min_us);
-    co_await sim::Delay{sim_, sim::SimTime::from_seconds(us / 1e6)};
-    if (setup != 0) trace_->end(setup);
-  }
+  // Client-side request setup cost with jitter (see kSetupMinUs).
+  const obs::SpanId setup =
+      root != 0 ? trace_->child(root, "setup", "client") : 0;
+  const double us =
+      kSetupMinUs + rng_.uniform01() * (kSetupMaxUs - kSetupMinUs);
+  co_await sim::Delay{sim_, sim::SimTime::from_seconds(us / 1e6)};
+  if (setup != 0) trace_->end(setup);
 
   LogicalFile& f = mds_.file(fh);
 
@@ -110,13 +116,7 @@ sim::Task<sim::SimTime> Client::request(int rank, FileHandle fh,
     f.layout.decompose_into(sim::Offset{offset}, sim::Bytes{length}, *pieces);
     sim::VectorPool<core::TaggedSubRequest>::Lease tagged =
         tagged_pool_.acquire();
-    if (cfg_.tag_fragments) {
-      tagger_.tag_into(*pieces, static_cast<int>(servers_.size()), *tagged);
-    } else {
-      tagged->reserve(pieces->size());
-      for (const auto& p : *pieces)
-        tagged->push_back({p.server, p.server_offset, p.length, false, {}});
-    }
+    tagger_.tag_into(*pieces, static_cast<int>(servers_.size()), *tagged);
     subs = tagged->size();
 
     // Issue every sub-request concurrently; the parent completes when the
@@ -144,8 +144,7 @@ sim::Task<sim::SimTime> Client::request(int rank, FileHandle fh,
         trace_->arg(sub_span, "length", sub.length.count());
         trace_->arg(sub_span, "index", static_cast<std::int64_t>(i));
       }
-      join.add(
-          subrequest(rank, f, sub, offset, dir, wsub, rsub, rid, sub_span));
+      join.add(subrequest(rank, f, sub, dir, wsub, rsub, rid, sub_span));
     }
   }
   co_await join.join();
@@ -161,8 +160,7 @@ sim::Task<sim::SimTime> Client::request(int rank, FileHandle fh,
 }
 
 sim::Task<> Client::subrequest(int rank, const LogicalFile& f,
-                               core::TaggedSubRequest sub,
-                               std::int64_t /*parent_off*/, IoDirection dir,
+                               core::TaggedSubRequest sub, IoDirection dir,
                                std::span<const std::byte> wdata,
                                std::span<std::byte> rdata,
                                obs::RequestId request_id,

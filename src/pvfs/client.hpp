@@ -3,9 +3,11 @@
 // Client::read_at / write_at implement the client side of a parallel file
 // system request: decompose the logical byte range over the striping layout
 // (io_datafile_setup_msgpairs), tag fragments and attach sibling-server ids
-// (the iBridge client-side component), then issue every sub-request to its
-// data server concurrently and wait for the slowest one — the synchronous-
-// request semantics whose tail latency the paper attacks.
+// (the iBridge client-side component; servers without a cache ignore the
+// tags, and tracing reports them on every system), then issue every
+// sub-request to its data server concurrently and wait for the slowest
+// one — the synchronous-request semantics whose tail latency the paper
+// attacks.
 #pragma once
 
 #include <cstdint>
@@ -25,29 +27,17 @@
 
 namespace ibridge::pvfs {
 
-struct ClientConfig {
-  /// Client-side fragment tagging (on when iBridge is deployed; harmless
-  /// but useless when servers are stock).
-  bool tag_fragments = true;
-  std::int64_t fragment_threshold = 20 * 1024;
-  /// MPI processes per client node (one NIC per node).
-  int procs_per_node = 48;
-  /// Per-request client-side setup cost (MPI-IO stack, VFS entry, kernel
-  /// scheduling), drawn uniformly from [min, max].  The jitter is what
-  /// desynchronizes concurrent ranks — without it the simulated processes
-  /// stay in lockstep and the data servers see an unrealistically perfect
-  /// sequential stream.
-  double overhead_min_us = 400.0;
-  double overhead_max_us = 1400.0;
-  std::uint64_t seed = 0x5eed;
-};
-
 class Client {
  public:
-  /// Throws std::invalid_argument when `servers` or `node_nics` is empty.
+  /// `procs_per_node` MPI processes share each client node's NIC;
+  /// sub-requests of multi-server requests shorter than
+  /// `fragment_threshold` (the servers' IBridgeConfig value) are tagged as
+  /// fragments; `seed` draws each request's setup-cost jitter.  Throws
+  /// std::invalid_argument when `servers` or `node_nics` is empty.
   Client(sim::Simulator& sim, MetadataServer& mds,
          std::vector<DataServer*> servers, net::NetworkModel& net,
-         std::vector<net::Nic*> node_nics, ClientConfig cfg = {});
+         std::vector<net::Nic*> node_nics, int procs_per_node,
+         std::int64_t fragment_threshold, std::uint64_t seed);
 
   /// Synchronous request from `rank`: completes when the slowest
   /// sub-request completes.  Returns the request's service time.  Throws
@@ -91,14 +81,13 @@ class Client {
   /// One sub-request round trip: ship it to the server, serve, return data.
   /// `request_id`/`sub_span` are the trace linkage (0 when untraced).
   sim::Task<> subrequest(int rank, const LogicalFile& f,
-                         core::TaggedSubRequest sub, std::int64_t parent_off,
-                         storage::IoDirection dir,
+                         core::TaggedSubRequest sub, storage::IoDirection dir,
                          std::span<const std::byte> wdata,
                          std::span<std::byte> rdata, obs::RequestId request_id,
                          obs::SpanId sub_span);
 
   net::Nic& nic_of_rank(int rank) {
-    return *node_nics_[static_cast<std::size_t>(rank / cfg_.procs_per_node) %
+    return *node_nics_[static_cast<std::size_t>(rank / procs_per_node_) %
                        node_nics_.size()];
   }
 
@@ -107,7 +96,7 @@ class Client {
   std::vector<DataServer*> servers_;
   net::NetworkModel& net_;
   std::vector<net::Nic*> node_nics_;
-  ClientConfig cfg_;
+  int procs_per_node_;
   core::FragmentTagger tagger_;
   // Decompose/tag scratch.  The leases live only inside request()'s
   // suspension-free setup section, so at most one request per shard holds

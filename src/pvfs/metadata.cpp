@@ -59,7 +59,7 @@ sim::Task<> MetadataServer::t_reporter(std::size_t s) {
   // (stop()/start_board_daemon() between runs), so reading them here races
   // with nothing.
   while (running_ && epoch == epoch_) {
-    co_await sim::Delay{ssim, interval_};
+    co_await sim::Delay{ssim, kTReportInterval};
     if (!running_ || epoch != epoch_) break;
     const double t = srv->current_t();
     group_->post(ssim, sim_, ssim.now() + group_->lookahead(),
@@ -70,7 +70,7 @@ sim::Task<> MetadataServer::t_reporter(std::size_t s) {
 sim::Task<> MetadataServer::board_broadcaster() {
   const std::uint64_t epoch = epoch_;
   while (running_ && epoch == epoch_) {
-    co_await sim::Delay{sim_, interval_};
+    co_await sim::Delay{sim_, kTReportInterval};
     if (!running_ || epoch != epoch_) break;
     // Aggregate the most recently reported T values (one wire hop staler
     // than the legacy poll — the paper's design point) and push a copy of
@@ -87,7 +87,7 @@ sim::Task<> MetadataServer::board_broadcaster() {
 sim::Task<> MetadataServer::board_daemon() {
   const std::uint64_t epoch = epoch_;
   while (running_ && epoch == epoch_) {
-    co_await sim::Delay{sim_, interval_};
+    co_await sim::Delay{sim_, kTReportInterval};
     if (!running_ || epoch != epoch_) break;
     // Collect the servers' current T values (the per-server report daemons
     // of the paper, collapsed into one poll with identical staleness), then

@@ -20,11 +20,16 @@
 #include "pvfs/layout.hpp"
 #include "pvfs/server.hpp"
 #include "sim/sync.hpp"
+#include "sim/time.hpp"
 
 namespace ibridge::pvfs {
 
 using FileHandle = std::uint32_t;
 inline constexpr FileHandle kInvalidHandle = 0;
+
+/// How often each data server reports its T value to the metadata server,
+/// and how often the metadata server broadcasts the board (the paper's 1 s).
+inline constexpr sim::SimTime kTReportInterval = sim::SimTime::seconds(1);
 
 /// A striped logical file.
 struct LogicalFile {
@@ -49,12 +54,8 @@ class MetadataServer {
 
  public:
   MetadataServer(sim::Simulator& sim, std::vector<DataServer*> servers,
-                 net::Nic& nic, sim::SimTime report_interval)
-      : sim_(sim),
-        servers_(std::move(servers)),
-        nic_(nic),
-        interval_(report_interval),
-        daemons_(sim) {}
+                 net::Nic& nic)
+      : sim_(sim), servers_(std::move(servers)), nic_(nic), daemons_(sim) {}
 
   ~MetadataServer() { stop(); }
 
@@ -95,7 +96,6 @@ class MetadataServer {
   sim::Simulator& sim_;
   std::vector<DataServer*> servers_;
   net::Nic& nic_;
-  sim::SimTime interval_;
   sim::TaskGroup daemons_;
   sim::ShardGroup* group_ = nullptr;
   std::vector<double> t_latest_;  ///< shard-0 copy of each server's last T

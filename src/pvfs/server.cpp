@@ -5,10 +5,19 @@
 
 namespace ibridge::pvfs {
 
+namespace {
+
+/// Concurrent local I/O jobs per server (pvfs2-server's Trove async-I/O
+/// pool is bounded; this caps device queue depth and thus how much request
+/// merging deep client concurrency can buy).
+constexpr int kIoConcurrency = 8;
+
+}  // namespace
+
 DataServer::DataServer(sim::Simulator& sim, sim::ServerId id,
                        const DataServerConfig& cfg, net::Nic& nic,
                        storage::SeekProfile profile)
-    : sim_(sim), id_(id), nic_(nic), io_slots_(sim, cfg.io_concurrency) {
+    : sim_(sim), id_(id), nic_(nic), io_slots_(sim, kIoConcurrency) {
   // Every client request funnels through io_slots_, so its waiter ring is
   // on the serve path: pre-size it for a burst of 1024 blocked requests
   // (8 KB) so a waiter high-water mark reached mid-run never reallocates —
@@ -150,7 +159,6 @@ sim::Task<core::ServeResult> DataServer::io(core::CacheRequest req,
   result.elapsed = sim_.now() - t0;
   service_.add(result.elapsed);
   bytes_served_ += length;
-  if (profiler_ != nullptr) profiler_->heat(id_.index(), length.count());
   --inflight_;
   if (trace_ != nullptr) {
     if (sspan != 0) {

@@ -42,10 +42,6 @@ struct DataServerConfig {
   core::IBridgeConfig ibridge = core::IBridgeConfig::stock();
   fsim::DataMode data_mode = fsim::DataMode::kTimingOnly;
   StorageMode storage_mode = StorageMode::kDisk;
-  /// Concurrent local I/O jobs per server (pvfs2-server's Trove async-I/O
-  /// pool is bounded; this caps device queue depth and thus how much
-  /// request merging deep client concurrency can buy).
-  int io_concurrency = 8;
   /// OS page size for read-modify-write on the datafile systems: sub-page
   /// writes read the boundary pages first.  Applies to the datafiles on
   /// disk and (in SSD-only mode) on the SSD; iBridge's log file is packed
@@ -104,9 +100,8 @@ class DataServer {
   void set_trace(obs::TraceSession* session);
 
   /// Attach a SimProfiler (nullptr to detach): request-handling events mark
-  /// the "server" category, devices mark "disk"/"ssd", the cache marks
-  /// "cache", and every completed sub-request bumps this server's heat
-  /// counters.  Wire before the run — category interning allocates.
+  /// the "server" category, devices mark "disk"/"ssd" and the cache marks
+  /// "cache".  Wire before the run — category interning allocates.
   void set_profiler(obs::SimProfiler* profiler);
 
   /// Take the server off the network (crashed) or bring it back.  While
@@ -129,6 +124,8 @@ class DataServer {
   /// disk-only servers).
   storage::SsdModel* ssd_model() { return ssd_.get(); }
   fsim::LocalFileSystem& fs() { return *primary_fs_; }
+  /// Service times of every completed sub-request (its count() is the
+  /// server's served operations).
   const stats::ServiceTimeMeter& service_meter() const { return service_; }
 
   /// Total payload bytes this server has served.

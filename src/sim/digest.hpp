@@ -1,8 +1,9 @@
-// Streaming 64-bit content digest for SimCheck.
+// Streaming 64-bit content digest.
 //
 // FNV-1a over the bytes with a SplitMix64 avalanche finalizer — not
 // cryptographic, but order-sensitive and stable across platforms, which is
-// what the differential and determinism harnesses need: two runs produce the
+// what the differential and determinism harnesses (src/check/) and the fault
+// engine's injected-event traces (src/fault/) need: two runs produce the
 // same digest iff they produced the same byte stream in the same order.
 #pragma once
 
@@ -10,7 +11,9 @@
 #include <span>
 #include <string_view>
 
-namespace ibridge::check {
+#include "sim/rng.hpp"
+
+namespace ibridge::sim {
 
 class Digest {
  public:
@@ -46,10 +49,8 @@ class Digest {
 
   /// Finalized value (the running state stays usable for further updates).
   std::uint64_t value() const {
-    std::uint64_t z = state_ + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    std::uint64_t s = state_;
+    return splitmix64(s);
   }
 
  private:
@@ -57,4 +58,4 @@ class Digest {
   std::uint64_t state_ = 0xcbf29ce484222325ULL;  // FNV offset basis
 };
 
-}  // namespace ibridge::check
+}  // namespace ibridge::sim

@@ -20,10 +20,6 @@ using stats::IoDirection;
 
 inline constexpr std::int64_t kSectorBytes = stats::kSectorBytes;
 
-inline constexpr std::int64_t bytes_to_sectors(std::int64_t bytes) {
-  return (bytes + kSectorBytes - 1) / kSectorBytes;
-}
-
 /// A single block-level request as submitted to a device queue.
 struct BlockRequest {
   IoDirection dir = IoDirection::kRead;
@@ -83,18 +79,15 @@ class BlockDevice {
   }
 
  protected:
-  void account(IoDirection dir, std::int64_t bytes, sim::SimTime service) {
-    busy_time_ += service;
-    (dir == IoDirection::kRead ? bytes_read_ : bytes_written_) += bytes;
-  }
-
-  /// One-stop accounting for a dispatched batch: blktrace entry, byte/busy
-  /// totals, and (when attached) a trace span covering the service window.
+  /// One-stop accounting for a dispatched batch: blktrace size (when
+  /// enabled), byte/busy totals, and (when attached) a trace span covering
+  /// the service window.
   void record_dispatch(sim::SimTime now, IoDirection dir, std::int64_t lbn,
                        std::int64_t sectors, sim::SimTime service) {
-    const std::int64_t bytes = sectors * kSectorBytes;
-    trace_.record(now, dir, lbn, sim::Bytes{bytes}, service);
-    account(dir, bytes, service);
+    trace_.record(sectors);
+    busy_time_ += service;
+    (dir == IoDirection::kRead ? bytes_read_ : bytes_written_) +=
+        sectors * kSectorBytes;
     if (profiler_ != nullptr) profiler_->mark(prof_cat_);
     if (obs_trace_ != nullptr) {
       const obs::SpanId s = obs_trace_->complete(

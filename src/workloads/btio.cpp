@@ -54,10 +54,8 @@ sim::Task<> btio_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
             static_cast<std::int64_t>(pi) * cw * kVarBytes;
         const sim::SimTime t =
             co_await file.write_at(ctx.rank(), offset, run_bytes);
-        tally->request_ms.add(t.to_millis());
+        tally->add(t, run_bytes);
         tally->io_time_total += t;
-        tally->bytes += run_bytes;
-        ++tally->requests;
       }
     }
     ++dump_index;
@@ -77,31 +75,14 @@ BtIoResult run_btio(cluster::Cluster& cluster, const BtIoConfig& cfg) {
   // would terminate the process instead of reaching the caller.
   int_sqrt(cfg.nprocs);
   const int dumps = cfg.time_steps / cfg.write_interval;
-  const std::int64_t file_bytes = cfg.dump_bytes() * (dumps + 1);
-  cluster.restart_daemons();
-  auto fh = cluster.create_file(cfg.file_name, file_bytes);
-  mpiio::MpiFile file(cluster.client(), fh);
-
   BtIoTally tally;
-  mpiio::MpiEnvironment env(cluster.sim(), cluster.client(), cfg.nprocs);
-  const sim::SimTime t0 = cluster.sim().now();
-  env.launch([&](mpiio::MpiContext ctx) {
-    return btio_rank(ctx, file, cfg, &tally);
-  });
-  cluster.sim().run_while_pending([&] { return env.finished(); });
-  const sim::SimTime io_done = cluster.sim().now();
-  const sim::SimTime flushed = cluster.drain();
-
-  BtIoResult r;
-  r.io_elapsed = io_done - t0;
-  r.elapsed = flushed - t0;
-  r.bytes = tally.bytes;
-  r.requests = tally.requests;
-  r.avg_request_ms = tally.request_ms.mean();
-  r.io_time = tally.io_time_total / cfg.nprocs;
-  r.compute_time = tally.compute_total / cfg.nprocs;
-  r.compute_seconds = r.compute_time.to_seconds();
-  return r;
+  const WorkloadResult run = run_ranks(
+      cluster, cfg.file_name, cfg.dump_bytes() * (dumps + 1), cfg.nprocs,
+      tally, [&](mpiio::MpiContext ctx, mpiio::MpiFile file) {
+        return btio_rank(ctx, file, cfg, &tally);
+      });
+  return {run, tally.io_time_total / cfg.nprocs,
+          tally.compute_total / cfg.nprocs};
 }
 
 }  // namespace ibridge::workloads

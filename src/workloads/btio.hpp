@@ -17,7 +17,6 @@
 #include <string>
 
 #include "mpiio/mpi.hpp"
-#include "stats/histogram.hpp"
 #include "workloads/common.hpp"
 
 namespace ibridge::workloads {
@@ -46,14 +45,11 @@ struct BtIoResult : WorkloadResult {
 
 BtIoResult run_btio(cluster::Cluster& cluster, const BtIoConfig& cfg);
 
-/// What the ranks of one BTIO run add up while they execute.
-struct BtIoTally {
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  std::uint64_t requests = 0;
+/// What the ranks of one BTIO run add up while they execute: the shared
+/// request tally plus the time ranks spent blocked in I/O and computing.
+struct BtIoTally : Tally {
   sim::SimTime io_time_total;  ///< summed over ranks
   sim::SimTime compute_total;  ///< summed over ranks
-  sim::SimTime done;           ///< when the last rank finished
 };
 
 /// One BTIO process: compute phases and solution dumps into `file`, a file

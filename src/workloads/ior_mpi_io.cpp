@@ -3,21 +3,14 @@
 #include <algorithm>
 
 #include "mpiio/mpi.hpp"
-#include "stats/histogram.hpp"
 
 namespace ibridge::workloads {
 
 namespace {
 
-struct Shared {
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  std::uint64_t requests = 0;
-};
-
 sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
                       IorMpiIoConfig cfg, std::int64_t chunk_bytes,
-                      std::int64_t sweep_bytes, Shared* shared) {
+                      std::int64_t sweep_bytes, Tally* tally) {
   const std::int64_t base =
       static_cast<std::int64_t>(ctx.rank()) * chunk_bytes;
   for (std::int64_t pos = 0; pos < sweep_bytes;) {
@@ -30,9 +23,7 @@ sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
     } else {
       t = co_await file.read_at(ctx.rank(), base + pos, len);
     }
-    shared->request_ms.add(t.to_millis());
-    shared->bytes += len;
-    ++shared->requests;
+    tally->add(t, len);
     pos += len;
   }
 }
@@ -41,33 +32,17 @@ sim::Task<> rank_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
 
 WorkloadResult run_ior_mpi_io(cluster::Cluster& cluster,
                               const IorMpiIoConfig& cfg) {
-  cluster.restart_daemons();
-  auto fh = cluster.create_file(cfg.file_name, cfg.file_bytes);
-  mpiio::MpiFile file(cluster.client(), fh);
-
   const std::int64_t chunk = cfg.file_bytes / cfg.nprocs;
   const std::int64_t sweep =
       cfg.access_bytes > 0
           ? std::min(chunk, cfg.access_bytes / cfg.nprocs)
           : chunk;
 
-  Shared shared;
-  mpiio::MpiEnvironment env(cluster.sim(), cluster.client(), cfg.nprocs);
-  const sim::SimTime t0 = cluster.sim().now();
-  env.launch([&](mpiio::MpiContext ctx) {
-    return rank_body(ctx, file, cfg, chunk, sweep, &shared);
-  });
-  cluster.sim().run_while_pending([&] { return env.finished(); });
-  const sim::SimTime io_done = cluster.sim().now();
-  const sim::SimTime flushed = cluster.drain();
-
-  WorkloadResult r;
-  r.io_elapsed = io_done - t0;
-  r.elapsed = flushed - t0;
-  r.bytes = shared.bytes;
-  r.requests = shared.requests;
-  r.avg_request_ms = shared.request_ms.mean();
-  return r;
+  Tally tally;
+  return run_ranks(cluster, cfg.file_name, cfg.file_bytes, cfg.nprocs, tally,
+                   [&](mpiio::MpiContext ctx, mpiio::MpiFile file) {
+                     return rank_body(ctx, file, cfg, chunk, sweep, &tally);
+                   });
 }
 
 }  // namespace ibridge::workloads

@@ -20,7 +20,7 @@ std::int64_t iterations_of(const MpiIoTestConfig& cfg) {
 }  // namespace
 
 sim::Task<> mpi_io_test_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                             MpiIoTestConfig cfg, MpiIoTestTally* tally) {
+                             MpiIoTestConfig cfg, Tally* tally) {
   const int n = ctx.size();
   const std::int64_t s = cfg.request_size;
   const std::int64_t iterations = iterations_of(cfg);
@@ -35,9 +35,7 @@ sim::Task<> mpi_io_test_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
     } else {
       t = co_await file.read_at(ctx.rank(), offset, s);
     }
-    tally->request_ms.add(t.to_millis());
-    tally->bytes += s;
-    ++tally->requests;
+    tally->add(t, s);
     if (cfg.barrier_each_iteration) co_await ctx.barrier();
   }
   tally->done = ctx.sim().now();
@@ -45,27 +43,11 @@ sim::Task<> mpi_io_test_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
 
 WorkloadResult run_mpi_io_test(cluster::Cluster& cluster,
                                const MpiIoTestConfig& cfg) {
-  cluster.restart_daemons();
-  auto fh = cluster.create_file(cfg.file_name, cfg.file_bytes);
-  mpiio::MpiFile file(cluster.client(), fh);
-
-  MpiIoTestTally tally;
-  mpiio::MpiEnvironment env(cluster.sim(), cluster.client(), cfg.nprocs);
-  const sim::SimTime t0 = cluster.sim().now();
-  env.launch([&](mpiio::MpiContext ctx) {
-    return mpi_io_test_rank(ctx, file, cfg, &tally);
-  });
-  cluster.sim().run_while_pending([&] { return env.finished(); });
-  const sim::SimTime io_done = cluster.sim().now();
-  const sim::SimTime flushed = cluster.drain();
-
-  WorkloadResult r;
-  r.io_elapsed = io_done - t0;
-  r.elapsed = flushed - t0;
-  r.bytes = tally.bytes;
-  r.requests = tally.requests;
-  r.avg_request_ms = tally.request_ms.mean();
-  return r;
+  Tally tally;
+  return run_ranks(cluster, cfg.file_name, cfg.file_bytes, cfg.nprocs, tally,
+                   [&](mpiio::MpiContext ctx, mpiio::MpiFile file) {
+                     return mpi_io_test_rank(ctx, file, cfg, &tally);
+                   });
 }
 
 }  // namespace ibridge::workloads

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "mpiio/mpi.hpp"
-#include "stats/histogram.hpp"
 #include "workloads/common.hpp"
 
 namespace ibridge::workloads {
@@ -33,17 +32,9 @@ struct MpiIoTestConfig {
 WorkloadResult run_mpi_io_test(cluster::Cluster& cluster,
                                const MpiIoTestConfig& cfg);
 
-/// What the ranks of one mpi-io-test run add up while they execute.
-struct MpiIoTestTally {
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  std::uint64_t requests = 0;
-  sim::SimTime done;  ///< when the last rank finished
-};
-
 /// One mpi-io-test process over `file`.  run_mpi_io_test launches one per
 /// process; Figure 12 runs them beside BTIO ranks on one cluster.
 sim::Task<> mpi_io_test_rank(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                             MpiIoTestConfig cfg, MpiIoTestTally* tally);
+                             MpiIoTestConfig cfg, Tally* tally);
 
 }  // namespace ibridge::workloads

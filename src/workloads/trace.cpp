@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "mpiio/mpi.hpp"
-#include "stats/histogram.hpp"
 
 namespace ibridge::workloads {
 
@@ -97,94 +96,48 @@ Trace TraceSynthesizer::generate(std::size_t n, std::int64_t file_bytes,
 
 namespace {
 
-sim::Task<> replay_one(mpiio::MpiContext& ctx, mpiio::MpiFile& file,
-                       TraceRecord rec, std::int64_t file_bytes,
-                       stats::Summary* request_ms, std::int64_t* bytes) {
-  std::int64_t off = rec.offset;
-  std::int64_t size = std::min<std::int64_t>(rec.size, file_bytes);
-  if (off + size > file_bytes) off = file_bytes - size;
-  sim::SimTime t;
-  if (rec.write) {
-    t = co_await file.write_at(ctx.rank(), off, size);
-  } else {
-    t = co_await file.read_at(ctx.rank(), off, size);
-  }
-  request_ms->add(t.to_millis());
-  *bytes += size;
-}
-
+/// The replaying rank: `n` synchronous requests, each record from `next()`
+/// clamped to the file.
+template <typename Next>
 sim::Task<> replay_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                        const Trace* trace, std::int64_t file_bytes,
-                        stats::Summary* request_ms, std::int64_t* bytes) {
-  for (const auto& rec : *trace) {
-    co_await replay_one(ctx, file, rec, file_bytes, request_ms, bytes);
-  }
-}
-
-sim::Task<> replay_stream_body(mpiio::MpiContext ctx, mpiio::MpiFile file,
-                               WorkloadStream* stream, std::size_t n,
-                               std::int64_t file_bytes,
-                               stats::Summary* request_ms,
-                               std::int64_t* bytes) {
+                        std::size_t n, Next next, std::int64_t file_bytes,
+                        Tally* tally) {
   for (std::size_t i = 0; i < n; ++i) {
-    co_await replay_one(ctx, file, stream->next(), file_bytes, request_ms,
-                        bytes);
+    const TraceRecord rec = next();
+    const std::int64_t size = std::min<std::int64_t>(rec.size, file_bytes);
+    const std::int64_t off = std::min(rec.offset, file_bytes - size);
+    sim::SimTime t;
+    if (rec.write) {
+      t = co_await file.write_at(ctx.rank(), off, size);
+    } else {
+      t = co_await file.read_at(ctx.rank(), off, size);
+    }
+    tally->add(t, size);
   }
 }
 
-/// Shared driver around the per-record loop: spawn the replaying rank, run
-/// the cluster until it finishes, drain the write-back daemons.
-template <typename LaunchBody>
-WorkloadResult drive_replay(cluster::Cluster& cluster,
-                            stats::Summary& request_ms, std::int64_t& bytes,
-                            LaunchBody&& body) {
-  mpiio::MpiEnvironment env(cluster.sim(), cluster.client(), 1);
-  const sim::SimTime t0 = cluster.sim().now();
-  env.launch(body);
-  cluster.sim().run_while_pending([&] { return env.finished(); });
-  const sim::SimTime io_done = cluster.sim().now();
-  const sim::SimTime flushed = cluster.drain();
-
-  WorkloadResult r;
-  r.io_elapsed = io_done - t0;
-  r.elapsed = flushed - t0;
-  r.bytes = bytes;
-  r.requests = request_ms.count();
-  r.avg_request_ms = request_ms.mean();
-  return r;
+template <typename Next>
+WorkloadResult replay(cluster::Cluster& cluster, const ReplayConfig& cfg,
+                      std::size_t n, Next next) {
+  Tally tally;
+  return run_ranks(cluster, cfg.file_name, cfg.file_bytes, 1, tally,
+                   [&](mpiio::MpiContext ctx, mpiio::MpiFile file) {
+                     return replay_body(ctx, file, n, next, cfg.file_bytes,
+                                        &tally);
+                   });
 }
 
 }  // namespace
 
 WorkloadResult replay_trace(cluster::Cluster& cluster, const Trace& trace,
                             const ReplayConfig& cfg) {
-  cluster.restart_daemons();
-  auto fh = cluster.create_file(cfg.file_name, cfg.file_bytes);
-  mpiio::MpiFile file(cluster.client(), fh);
-
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  return drive_replay(cluster, request_ms, bytes,
-                      [&](mpiio::MpiContext ctx) {
-                        return replay_body(ctx, file, &trace, cfg.file_bytes,
-                                           &request_ms, &bytes);
-                      });
+  return replay(cluster, cfg, trace.size(),
+                [&trace, i = std::size_t{0}]() mutable { return trace[i++]; });
 }
 
 WorkloadResult replay_stream(cluster::Cluster& cluster, WorkloadStream& stream,
                              std::size_t n, const ReplayConfig& cfg) {
-  cluster.restart_daemons();
-  auto fh = cluster.create_file(cfg.file_name, cfg.file_bytes);
-  mpiio::MpiFile file(cluster.client(), fh);
-
-  stats::Summary request_ms;
-  std::int64_t bytes = 0;
-  return drive_replay(cluster, request_ms, bytes,
-                      [&](mpiio::MpiContext ctx) {
-                        return replay_stream_body(ctx, file, &stream, n,
-                                                  cfg.file_bytes, &request_ms,
-                                                  &bytes);
-                      });
+  return replay(cluster, cfg, n, [&stream] { return stream.next(); });
 }
 
 }  // namespace ibridge::workloads

@@ -201,11 +201,11 @@ class TraceSynthesizer {
 struct ReplayConfig {
   std::int64_t file_bytes = 10LL * 1000 * 1000 * 1000;  ///< data-size cap
   std::string file_name = "trace.dat";
-  int rank = 0;  ///< the paper replays with a single process
 };
 
-/// Replay a trace synchronously through the cluster; WorkloadResult's
-/// avg_request_ms is the Table III metric.
+/// Replay a trace synchronously through the cluster from a single process,
+/// as the paper does; WorkloadResult's avg_request_ms is the Table III
+/// metric.
 WorkloadResult replay_trace(cluster::Cluster& cluster, const Trace& trace,
                             const ReplayConfig& cfg = {});
 

@@ -21,6 +21,7 @@
 #include "core/service_time.hpp"
 #include "core/tagger.hpp"
 #include "pvfs/layout.hpp"
+#include "pvfs/metadata.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/trace.hpp"
 
@@ -125,7 +126,7 @@ TEST(AllocZones, SimulatorStepTickIsAllocationFree) {
 
 TEST(AllocZones, BoardBroadcastIsAllocationFree) {
   const cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
-  const sim::SimTime interval = cfg.server.ibridge.t_report_interval;
+  const sim::SimTime interval = pvfs::kTReportInterval;
   constexpr int kBroadcasts = 100;
   // An idle cluster: the board daemon (and the write-back daemon's empty
   // wake-ups) are all that run.

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "check/differential.hpp"
 #include "check/generator.hpp"
@@ -33,8 +34,7 @@ workloads::MpiIoTestConfig quick(std::int64_t request_size, bool write) {
 double run_mbps(const ClusterConfig& cc,
                 const workloads::MpiIoTestConfig& cfg) {
   Cluster c(cc);
-  const auto r = run_mpi_io_test(c, cfg);
-  return static_cast<double>(r.bytes) / 1e6 / r.elapsed.to_seconds();
+  return run_mpi_io_test(c, cfg).mbps();
 }
 
 TEST(ClusterConfigs, NamedConfigurationsDiffer) {
@@ -42,7 +42,6 @@ TEST(ClusterConfigs, NamedConfigurationsDiffer) {
   EXPECT_FALSE(stock.server.ibridge.enabled);
   const auto ib = ClusterConfig::with_ibridge();
   EXPECT_TRUE(ib.server.ibridge.enabled);
-  EXPECT_TRUE(ib.client.tag_fragments);
   const auto ssd = ClusterConfig::ssd_only();
   EXPECT_EQ(ssd.server.storage_mode, pvfs::StorageMode::kSsdOnly);
 }
@@ -131,6 +130,30 @@ TEST(Cluster, DiskTraceCapturesBlockSizes) {
   const auto top = hist.top(1);
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].first % 128, 0);
+}
+
+TEST(Cluster, DiskTraceIsOffUntilEnabled) {
+  auto cfg = quick(65 * 1024, true);
+  cfg.access_bytes = 32 << 20;
+  // Requests each device's recorder counted: server 0's disk, its SSD,
+  // then every other server's pair.
+  const auto recorded = [&](bool trace_server0) {
+    Cluster c(ClusterConfig::with_ibridge());
+    if (trace_server0) c.enable_disk_trace(0);
+    run_mpi_io_test(c, cfg);
+    std::vector<std::uint64_t> n;
+    for (int s = 0; s < c.server_count(); ++s) {
+      n.push_back(c.server(s).disk().trace().requests());
+      n.push_back(c.server(s).ssd()->trace().requests());
+    }
+    return n;
+  };
+  const std::vector<std::uint64_t> quiet = recorded(false);
+  EXPECT_EQ(quiet, std::vector<std::uint64_t>(quiet.size(), 0u));
+  std::vector<std::uint64_t> traced = recorded(true);
+  EXPECT_GT(traced[0], 0u) << "server 0's disk records sizes";
+  traced[0] = 0;
+  EXPECT_EQ(traced, quiet) << "no other device records";
 }
 
 TEST(Cluster, ServerCountIsConfigurable) {
@@ -241,7 +264,7 @@ TEST(Cluster, AggregateMetricsAccumulate) {
   const auto r = run_mpi_io_test(c, cfg);
   EXPECT_EQ(c.total_bytes_served().count(), r.bytes);
   EXPECT_GT(c.ssd_bytes_served(), sim::Bytes::zero());
-  EXPECT_GT(c.avg_service_ms(), 0.0);
+  EXPECT_GT(c.server(0).service_meter().mean_ms(), 0.0);
 }
 
 // Whole-cluster promotion of the mapping-table crash/recovery tests: the

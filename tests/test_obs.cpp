@@ -16,12 +16,21 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/magnification.hpp"
 #include "workloads/mpi_io_test.hpp"
 
 namespace ibridge::obs {
 namespace {
 
 sim::SimTime ms(std::int64_t n) { return sim::SimTime::millis(n); }
+
+std::int64_t int_arg(const SpanRecord& r, const std::string& key,
+                     std::int64_t fallback) {
+  for (const SpanArg& a : r.args) {
+    if (a.is_int && key == a.key) return a.ival;
+  }
+  return fallback;
+}
 
 TEST(TraceSession, TracksAreInterned) {
   sim::Simulator sim;
@@ -258,14 +267,11 @@ TEST(SimProfiler, GapAttributionAndFirstMarkWins) {
   const int disk = prof.category("disk");
   const int cache = prof.category("cache");
   EXPECT_EQ(prof.category("disk"), disk) << "re-interning returns the id";
-  prof.set_server_count(2);
   prof.set_lane_count(1);
   sim.set_step_hook(prof.lane_hook(0));
   sim.schedule(ms(2), [&] {
     prof.mark(disk);
     prof.mark(cache);  // second mark per event is ignored
-    prof.heat(0, 4096);
-    prof.heat(9, 1);  // out of range: silently dropped
   });
   sim.schedule(ms(5), [&] {});  // unmarked -> "other"
   sim.schedule(ms(6), [&] { prof.mark(cache); });
@@ -281,9 +287,6 @@ TEST(SimProfiler, GapAttributionAndFirstMarkWins) {
   EXPECT_EQ(prof.model_ns(disk), ms(2).ns());
   EXPECT_EQ(prof.model_ns(SimProfiler::kOther), ms(3).ns());
   EXPECT_EQ(prof.model_ns(cache), ms(1).ns());
-  EXPECT_EQ(prof.heat_ops(0), 1u);
-  EXPECT_EQ(prof.heat_bytes(0), 4096);
-  EXPECT_EQ(prof.heat_ops(1), 0u);
   EXPECT_FALSE(prof.wall_timing_enabled());
 
   MetricsRegistry reg;
@@ -292,8 +295,6 @@ TEST(SimProfiler, GapAttributionAndFirstMarkWins) {
   EXPECT_DOUBLE_EQ(reg.gauge("prof.model_ms.disk"), 2.0);
   EXPECT_DOUBLE_EQ(reg.gauge("prof.model_ms.other"), 3.0);
   EXPECT_EQ(reg.counter("prof.events.cache"), 1);
-  EXPECT_EQ(reg.counter("srv0.prof.heat_ops"), 1);
-  EXPECT_EQ(reg.counter("srv0.prof.heat_bytes"), 4096);
   EXPECT_TRUE(reg.has("prof.queue_depth.mean"));
 }
 
@@ -389,6 +390,53 @@ TEST(ClusterTracing, SpanTreeCoversEveryLayer) {
   }
 }
 
+TEST(ClusterTracing, StockRunNamesFragmentStragglers) {
+  // Figure 3's workload on the stock system: the client tags fragments
+  // whatever the servers run, so the analyzer can name the 1 KB piece.
+  cluster::Cluster c(cluster::ClusterConfig::stock());
+  TraceSession session(c.sim());
+  c.set_trace(&session);
+  workloads::MagnificationConfig wl;
+  wl.requests = 2;
+  workloads::run_magnification(c, wl);
+
+  const std::int64_t threshold = c.config().server.ibridge.fragment_threshold;
+  std::size_t straggled = 0, group_requests = 0;
+  for (const RequestBreakdown& b : analyze(session)) {
+    if (b.straggler_is_fragment) ++straggled;
+    if (b.subs.size() < 2) continue;  // a noise rank's one-unit read
+    ++group_requests;
+    for (const SubSpan& sub : b.subs) {
+      const std::int64_t length = int_arg(session.span(sub.id), "length", -1);
+      EXPECT_EQ(sub.fragment, length < threshold) << length << " bytes";
+    }
+  }
+  EXPECT_EQ(group_requests, 16u * 2u);
+  EXPECT_GT(straggled, 0u);
+}
+
+TEST(ClusterMetrics, ServerRequestRowsSumToClientSubRequests) {
+  for (const bool ibridge : {false, true}) {
+    SCOPED_TRACE(ibridge ? "ibridge" : "stock");
+    cluster::Cluster c(ibridge ? cluster::ClusterConfig::with_ibridge()
+                               : cluster::ClusterConfig::stock());
+    TraceSession session(c.sim());
+    c.set_trace(&session);
+    read_unaligned(c, 3);
+    const auto subs = std::count_if(
+        session.spans().begin(), session.spans().end(),
+        [](const SpanRecord& sp) { return std::string(sp.name) == "sub"; });
+    MetricsRegistry reg;
+    c.collect_metrics(reg);
+    std::int64_t served = 0;
+    for (int i = 0; i < c.server_count(); ++i) {
+      served += reg.counter("srv" + std::to_string(i) + ".server.requests");
+    }
+    EXPECT_EQ(served, subs);
+    EXPECT_EQ(subs, 2 * 4 * 3) << "4 ranks x 3 requests of 64 KB + 1 KB";
+  }
+}
+
 TEST(ClusterMetrics, ReturnEstimatesMergeEveryServer) {
   // cache.ret_estimate_ms is the one distribution a run publishes: the
   // registry's histogram must hold exactly the Eq. (2)/(3) estimates every
@@ -429,13 +477,6 @@ TEST(ClusterMetrics, ReturnEstimatesMergeEveryServer) {
 std::vector<RequestBreakdown> analyze_naive(const TraceSession& s) {
   const auto duration = [](const SpanRecord& r) {
     return r.open ? sim::SimTime::zero() : r.finish - r.start;
-  };
-  const auto int_arg = [](const SpanRecord& r, const std::string& key,
-                          std::int64_t fallback) {
-    for (const SpanArg& a : r.args) {
-      if (a.is_int && key == a.key) return a.ival;
-    }
-    return fallback;
   };
   std::vector<RequestBreakdown> out;
   for (RequestId req = 1; req <= s.requests_traced(); ++req) {
@@ -596,16 +637,6 @@ TEST(ClusterProfiler, AttributionCoversTimelineWithoutPerturbingIt) {
   EXPECT_LE(total_ns, c.sim().now().ns())
       << "summed category gaps reconstruct (at most) the timeline";
 
-  // Heat counters account for exactly the bytes the servers served.
-  std::int64_t heat_bytes = 0;
-  std::uint64_t heat_ops = 0;
-  for (std::size_t s = 0; s < prof.server_count(); ++s) {
-    heat_bytes += prof.heat_bytes(s);
-    heat_ops += prof.heat_ops(s);
-  }
-  EXPECT_EQ(heat_bytes, served.count());
-  EXPECT_GT(heat_ops, 0u);
-
   // collect_metrics() publishes the profiler and sketch-backed service
   // tails alongside the component counters.
   MetricsRegistry reg;
@@ -613,7 +644,7 @@ TEST(ClusterProfiler, AttributionCoversTimelineWithoutPerturbingIt) {
   EXPECT_TRUE(reg.has("sim.events"));
   EXPECT_TRUE(reg.has("prof.queue_depth.mean"));
   EXPECT_TRUE(reg.has("prof.model_ms.disk"));
-  EXPECT_TRUE(reg.has("srv0.prof.heat_ops"));
+  EXPECT_TRUE(reg.has("srv0.server.requests"));
   EXPECT_TRUE(reg.has("srv0.server.service_ms.p50"));
   EXPECT_TRUE(reg.has("srv0.server.service_ms.p99"));
   EXPECT_EQ(reg.counter("sim.events"),

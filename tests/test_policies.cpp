@@ -2,11 +2,14 @@
 // hot-block) and for OS page-granularity read-modify-write in fsim.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "fsim/filesystem.hpp"
-#include "mpiio/mpi.hpp"
 #include "storage/calibration.hpp"
 #include "storage/hdd.hpp"
+#include "workloads/trace.hpp"
 
 namespace ibridge {
 namespace {
@@ -26,27 +29,25 @@ struct PolicyStats {
   std::uint64_t disk_writes = 0;
 };
 
+/// One rank writing `length` bytes at each of `offsets`, in order, on a
+/// file of `file_bytes`, then draining.
+void write_each(cluster::Cluster& c, const std::vector<std::int64_t>& offsets,
+                std::int64_t length, std::int64_t file_bytes) {
+  workloads::Trace t;
+  for (const std::int64_t off : offsets) t.push_back({true, off, length});
+  workloads::replay_trace(c, t, {file_bytes, "f"});
+}
+
 PolicyStats run_small_writes(core::AdmissionPolicy policy, int passes) {
   cluster::Cluster c(policy_cluster(policy));
-  auto fh = c.create_file("f", 128 << 20);
-  mpiio::MpiFile file(c.client(), fh);
-  // One rank issuing small writes to distinct offsets, `passes` times over.
-  mpiio::MpiEnvironment env(c.sim(), c.client(), 1);
-  env.launch([&](mpiio::MpiContext ctx) {
-    return [](mpiio::MpiContext ctx2, mpiio::MpiFile f,
-              int reps) -> sim::Task<> {
-      for (int pass = 0; pass < reps; ++pass) {
-        // 2 MiB apart: stripe-aligned (one sub-request each) and in
-        // distinct hot-block regions (1 MiB granularity).
-        for (int i = 0; i < 32; ++i) {
-          co_await f.write_at(ctx2.rank(), static_cast<std::int64_t>(i) << 21,
-                              4096);
-        }
-      }
-    }(ctx, file, passes);
-  });
-  c.sim().run_while_pending([&] { return env.finished(); });
-  c.drain();
+  // Small writes to distinct offsets, `passes` times over, 2 MiB apart:
+  // stripe-aligned (one sub-request each) and in distinct hot-block regions
+  // (1 MiB granularity).
+  std::vector<std::int64_t> offsets;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (std::int64_t i = 0; i < 32; ++i) offsets.push_back(i << 21);
+  }
+  write_each(c, offsets, 4096, 128 << 20);
   PolicyStats out;
   for (int s = 0; s < c.server_count(); ++s) {
     out.admits += c.server(s).cache()->stats().write_admits;
@@ -84,22 +85,12 @@ TEST(AdmissionPolicy, LargeRequestsNeverAdmittedByAnyPolicy) {
        {core::AdmissionPolicy::kReturnBased, core::AdmissionPolicy::kAlwaysSmall,
         core::AdmissionPolicy::kHotBlock}) {
     cluster::Cluster c(policy_cluster(policy));
-    auto fh = c.create_file("f", 64 << 20);
-    mpiio::MpiFile file(c.client(), fh);
-    mpiio::MpiEnvironment env(c.sim(), c.client(), 1);
-    env.launch([&](mpiio::MpiContext ctx) {
-      return [](mpiio::MpiContext ctx2, mpiio::MpiFile f) -> sim::Task<> {
-        // Stripe-aligned 64 KB writes: one full-unit sub-request each, so
-        // no piece is below the threshold.  (Unaligned large requests DO
-        // produce admissible fragments — that is the paper's point.)
-        for (int i = 0; i < 8; ++i) {
-          co_await f.write_at(ctx2.rank(),
-                              static_cast<std::int64_t>(i) * 2 * 64 * 1024,
-                              64 * 1024);
-        }
-      }(ctx, file);
-    });
-    c.sim().run_while_pending([&] { return env.finished(); });
+    // Stripe-aligned 64 KB writes: one full-unit sub-request each, so no
+    // piece is below the threshold.  (Unaligned large requests DO produce
+    // admissible fragments — that is the paper's point.)
+    std::vector<std::int64_t> offsets;
+    for (std::int64_t i = 0; i < 8; ++i) offsets.push_back(i * 2 * 64 * 1024);
+    write_each(c, offsets, 64 * 1024, 64 << 20);
     std::uint64_t admits = 0;
     for (int s = 0; s < c.server_count(); ++s) {
       admits += c.server(s).cache()->stats().write_admits;
@@ -126,7 +117,6 @@ struct RmwFixture : ::testing::Test {
     std::string name = "f";
     name += std::to_string(off);
     const auto id = fs.create(name, 16 << 20);
-    const std::int64_t before = disk.trace().requests();
     const std::int64_t rbytes_before = disk.bytes_read();
     bool done = false;
     auto t = [](fsim::LocalFileSystem& f, fsim::FileId i, std::int64_t o,
@@ -136,7 +126,6 @@ struct RmwFixture : ::testing::Test {
     }(fs, id, off, len, done);
     t.start();
     sim.run_while_pending([&] { return done; });
-    (void)before;
     return static_cast<std::uint64_t>(disk.bytes_read() - rbytes_before);
   }
 };
@@ -179,17 +168,9 @@ TEST(RmwCluster, SsdOnlySmallWritesPayRmw) {
   auto cc = cluster::ClusterConfig::ssd_only();
   cc.data_servers = 2;
   cluster::Cluster c(cc);
-  auto fh = c.create_file("f", 16 << 20);
-  mpiio::MpiFile file(c.client(), fh);
-  mpiio::MpiEnvironment env(c.sim(), c.client(), 1);
-  env.launch([&](mpiio::MpiContext ctx) {
-    return [](mpiio::MpiContext ctx2, mpiio::MpiFile f) -> sim::Task<> {
-      for (int i = 0; i < 16; ++i) {
-        co_await f.write_at(ctx2.rank(), i * 100'000, 640);
-      }
-    }(ctx, file);
-  });
-  c.sim().run_while_pending([&] { return env.finished(); });
+  std::vector<std::int64_t> offsets;
+  for (std::int64_t i = 0; i < 16; ++i) offsets.push_back(i * 100'000);
+  write_each(c, offsets, 640, 16 << 20);
   std::int64_t fills = 0;
   for (int s = 0; s < c.server_count(); ++s) {
     fills += c.server(s).ssd()->bytes_read();

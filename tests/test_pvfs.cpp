@@ -158,10 +158,11 @@ TEST(Client, MissingServersOrNicsThrow) {
   cluster::Cluster c(verify_config(false));
   net::NetworkModel net(c.sim());
   net::Nic& nic = net.add_endpoint("client");
-  EXPECT_THROW(Client(c.sim(), c.mds(), {}, net, {&nic}),
+  EXPECT_THROW(Client(c.sim(), c.mds(), {}, net, {&nic}, 1, 20 << 10, 1),
                std::invalid_argument);
-  EXPECT_THROW(Client(c.sim(), c.mds(), {&c.server(0)}, net, {}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      Client(c.sim(), c.mds(), {&c.server(0)}, net, {}, 1, 20 << 10, 1),
+      std::invalid_argument);
 }
 
 TEST(Client, RequestTimeIsMaxOfSubRequests) {

@@ -6,11 +6,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/buffer_pool.hpp"
+#include "sim/digest.hpp"
 #include "sim/inline_event.hpp"
 #include "sim/mem_pool.hpp"
 #include "sim/rng.hpp"
@@ -458,6 +460,20 @@ TEST(Rng, ForkProducesIndependentStream) {
   // Parent stream after fork must equal a reference that also forked once.
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), a2());
   (void)child;
+}
+
+// --------------------------------------------------------------- Digest ----
+
+TEST(Digest, ReproducesPinnedValues) {
+  // Values the SimCheck digest and the fault engine's digest (then two
+  // copies of this algorithm) produced on the same input; every simcheck
+  // and fault digest file depends on them staying put.
+  EXPECT_EQ(Digest().value(), 0xc3817c016ba4ff30ULL);
+  EXPECT_EQ(Digest().update_u64(42).update("batch.write").value(),
+            0x94c97e9ac36d4f4dULL);
+  const std::byte bytes[] = {std::byte{1}, std::byte{2}};
+  EXPECT_EQ(Digest().update_i64(-7).update(std::span(bytes)).value(),
+            0x285478cb6674f735ULL);
 }
 
 // --------------------------------------------------------- InlineEvent ----

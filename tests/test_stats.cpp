@@ -101,38 +101,21 @@ TEST(IntHistogram, KeysSortedAndClear) {
   EXPECT_EQ(h.total(), 0u);
 }
 
-TEST(BlockTraceRecorder, RoundsBytesUpToSectors) {
+TEST(BlockTraceRecorder, RecordsSizesOnlyWhileEnabled) {
   BlockTraceRecorder r;
-  r.record(sim::SimTime::zero(), IoDirection::kRead, 0, sim::Bytes{1024},
-           sim::SimTime::millis(1));
-  r.record(sim::SimTime::zero(), IoDirection::kRead, 0, sim::Bytes{1025},
-           sim::SimTime::millis(1));
-  EXPECT_EQ(r.size_histogram().count(2), 1u);
-  EXPECT_EQ(r.size_histogram().count(3), 1u);
-  EXPECT_EQ(r.requests(), 2u);
-  EXPECT_EQ(r.read_bytes(), sim::Bytes{2049});
-}
-
-TEST(BlockTraceRecorder, DisabledRecordsNothing) {
-  BlockTraceRecorder r;
-  r.set_enabled(false);
-  r.record(sim::SimTime::zero(), IoDirection::kWrite, 0, sim::Bytes{512},
-           sim::SimTime::millis(1));
+  EXPECT_FALSE(r.enabled()) << "off until a figure asks for sizes";
+  r.record(2);
   EXPECT_EQ(r.requests(), 0u);
-  EXPECT_EQ(r.write_bytes(), sim::Bytes::zero());
-}
-
-TEST(BlockTraceRecorder, KeepsEntriesOnlyWhenAsked) {
-  BlockTraceRecorder r;
-  r.record(sim::SimTime::zero(), IoDirection::kRead, 7, sim::Bytes{512},
-           sim::SimTime::millis(1));
-  EXPECT_TRUE(r.entries().empty());
-  r.set_keep_entries(true);
-  r.record(sim::SimTime::millis(2), IoDirection::kWrite, 9, sim::Bytes{512},
-           sim::SimTime::millis(3));
-  ASSERT_EQ(r.entries().size(), 1u);
-  EXPECT_EQ(r.entries()[0].lbn, 9);
-  EXPECT_EQ(r.entries()[0].dir, IoDirection::kWrite);
+  r.set_enabled(true);
+  r.record(2);
+  r.record(3);
+  r.record(3);
+  EXPECT_EQ(r.requests(), 3u);
+  EXPECT_EQ(r.size_histogram().count(2), 1u);
+  EXPECT_EQ(r.size_histogram().count(3), 2u);
+  r.clear();
+  EXPECT_EQ(r.requests(), 0u);
+  EXPECT_TRUE(r.enabled()) << "clear() keeps recording";
 }
 
 TEST(Table, AlignsColumnsAndEmitsCsv) {

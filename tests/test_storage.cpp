@@ -142,6 +142,7 @@ TEST(HddModel, BusyTimeAccumulates) {
 TEST(HddModel, TraceRecordsDispatches) {
   Harness h;
   HddModel d(h.sim, quiet_hdd());
+  d.trace().set_enabled(true);
   h.run(d, {{IoDirection::kRead, 0, 128, 0}});
   EXPECT_EQ(d.trace().requests(), 1u);
   EXPECT_EQ(d.trace().size_histogram().count(128), 1u);
@@ -152,6 +153,7 @@ TEST(HddModel, BackToBackContiguousRequestsMerge) {
   // batch: one trace entry, both futures complete together.
   Simulator sim;
   HddModel d(sim, quiet_hdd());
+  d.trace().set_enabled(true);
   sim::SimFuture<BlockCompletion> f1, f2;
   sim.schedule(SimTime::zero(), [&] {
     f1 = d.submit({IoDirection::kRead, 5000, 128, 0});

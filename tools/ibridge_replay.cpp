@@ -69,9 +69,7 @@ int main(int argc, char** argv) {
   for (int run = 0; run < runs; ++run) {
     const auto r = replay_trace(c, trace, rc);
     std::printf("run %d: avg service %7.2f ms   (%.2f s total, %.1f MB/s)\n",
-                run, r.avg_request_ms, r.elapsed.to_seconds(),
-                static_cast<double>(r.bytes) / 1e6 /
-                    r.elapsed.to_seconds());
+                run, r.avg_request_ms, r.elapsed.to_seconds(), r.mbps());
   }
   return 0;
 }
