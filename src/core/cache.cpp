@@ -51,6 +51,8 @@ IBridgeCache::IBridgeCache(sim::Simulator& sim, IBridgeConfig cfg,
   log_file_ = ssd_fs_.create("ibridge.log",
                              cfg.ssd_cache_bytes + (1 << 20));
   assert(log_file_ != fsim::kInvalidFile && "SSD too small for cache log");
+  // flush_batch() reads each entry back as a single block request.
+  assert(ssd_fs_.file(log_file_).contiguous() && "cache log is one extent");
   table_.reserve(kMappingReserveEntries);
 }
 
@@ -544,30 +546,20 @@ sim::Task<> IBridgeCache::flush_batch(std::vector<EntryId>& batch,
                         }));
 
   // Stage every payload out of the SSD log concurrently so the disk writes
-  // can then stream back-to-back with no inter-write gaps.
-  struct Staged {
-    EntryId id;
-    CacheEntry e;
-    sim::BufferPool::Lease buf;
+  // can then stream back-to-back with no inter-write gaps.  The log file is
+  // one extent, so each entry is one block read.
+  const auto live = [this](EntryId id) {
+    return table_.contains(id) && table_.get(id).dirty;
   };
-  // reserve() up front makes the element addresses handed to the reader
-  // coroutines stable; the vector outlives reads.join() below.
-  std::vector<Staged> staged;
-  staged.reserve(batch.size());
-  const bool verify = ssd_fs_.data_mode() == fsim::DataMode::kVerify;
+  std::erase_if(batch, [&live](EntryId id) { return !live(id); });
   sim::JoinSet reads(sim_);
   for (EntryId id : batch) {
-    if (!table_.contains(id) || !table_.get(id).dirty) continue;
-    staged.push_back({id, table_.get(id), pool_.acquire()});
-    if (verify) {
-      staged.back().buf->resize(
-          static_cast<std::size_t>(staged.back().e.length.count()));
-    }
-    Staged* s = &staged.back();
-    reads.add([](IBridgeCache& c, Staged* st) -> sim::Task<> {
-      co_await c.ssd_fs_.read(c.log_file_, st->e.log_off.value(),
-                              st->e.length.count(), *st->buf);
-    }(*this, s));
+    const CacheEntry& e = table_.get(id);
+    ssd_fs_.file(log_file_).map_into(e.log_off.value(), e.length.count(),
+                                     map_scratch_);
+    reads.add(ssd_fs_.device().submit({IoDirection::kRead,
+                                       map_scratch_.front().lbn,
+                                       map_scratch_.front().sectors, 0}));
   }
   co_await reads.join();
   if (gate_cut("batch.staged")) {
@@ -580,45 +572,44 @@ sim::Task<> IBridgeCache::flush_batch(std::vector<EntryId>& batch,
   // accesses as possible".  Without this, dense small dirty data (e.g.
   // BTIO's 640-2160 B strided records) would pay a positioning cost per
   // entry even though the union of the entries is one contiguous region.
+  // A live id still names the entry staged above: ids are never reused,
+  // and a live entry changes only its dirty bit.
   constexpr Bytes kMaxRun{8 << 20};
   std::size_t i = 0;
-  while (i < staged.size()) {
+  while (i < batch.size()) {
     if (yield_to_foreground && disk_fs_.device().queue_depth() > 0) break;
     // Find the start of a valid run.
-    const Staged& head = staged[i];
-    if (!table_.contains(head.id) || !table_.get(head.id).dirty) {
+    if (!live(batch[i])) {
       ++i;
       continue;
     }
+    const CacheEntry head = table_.get(batch[i]);
     std::size_t j = i + 1;
-    Bytes run_len = head.e.length;
-    while (j < staged.size() && run_len < kMaxRun) {
-      const Staged& next = staged[j];
-      if (next.e.file != head.e.file ||
-          next.e.file_off != head.e.file_off + run_len ||
-          !table_.contains(next.id) || !table_.get(next.id).dirty) {
-        break;
-      }
-      run_len += next.e.length;
-      ++j;
+    Bytes run_len = head.length;
+    while (j < batch.size() && run_len < kMaxRun && live(batch[j]) &&
+           table_.get(batch[j]).file == head.file &&
+           table_.get(batch[j]).file_off == head.file_off + run_len) {
+      run_len += table_.get(batch[j++]).length;
     }
     if (gate_cut("batch.write")) break;
 
+    // Verify mode: a live entry's log range still holds the bytes it was
+    // admitted with, since admissions only append to free log space.
     sim::BufferPool::Lease run_buf = pool_.acquire();
-    std::span<const std::byte> span;
-    if (verify) {
-      run_buf->reserve(static_cast<std::size_t>(run_len.count()));
+    if (ssd_fs_.data_mode() == fsim::DataMode::kVerify) {
       for (std::size_t k = i; k < j; ++k) {
-        run_buf->insert(run_buf->end(), staged[k].buf->begin(),
-                        staged[k].buf->end());
+        const CacheEntry& e = table_.get(batch[k]);
+        const std::size_t at = run_buf->size();
+        run_buf->resize(at + static_cast<std::size_t>(e.length.count()));
+        ssd_fs_.peek_bytes(log_file_, e.log_off.value(),
+                           std::span(*run_buf).subspan(at));
       }
-      span = *run_buf;
     }
     // (As in flush_entry: internal write-back does not update Eq. (1).)
     const std::uint64_t win =
-        open_window(flush_windows_, head.e.file, head.e.file_off, run_len);
-    co_await disk_fs_.write(head.e.file, head.e.file_off.value(),
-                            run_len.count(), span);
+        open_window(flush_windows_, head.file, head.file_off, run_len);
+    co_await disk_fs_.write(head.file, head.file_off.value(),
+                            run_len.count(), *run_buf);
     close_window(flush_windows_, win);
     notify_flush_waiters();
     // Crash after the data write but before the metadata update: the
@@ -627,16 +618,13 @@ sim::Task<> IBridgeCache::flush_batch(std::vector<EntryId>& batch,
     if (gate_cut("batch.clean")) break;
     stats_.writeback_bytes += run_len;
     for (std::size_t k = i; k < j; ++k) {
-      if (table_.contains(staged[k].id)) {
-        table_.mark_clean(staged[k].id);
-      }
+      if (table_.contains(batch[k])) table_.mark_clean(batch[k]);
       ++stats_.writebacks;
     }
     i = j;
   }
   if (tspan != 0) {
-    trace_->arg(tspan, "entries",
-                static_cast<std::int64_t>(staged.size()));
+    trace_->arg(tspan, "entries", static_cast<std::int64_t>(batch.size()));
     trace_->end(tspan);
   }
   check("flush.batch");

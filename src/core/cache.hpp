@@ -206,7 +206,9 @@ class IBridgeCache {
   /// requests queue at the disk (daemon mode); drain() flushes regardless.
   /// `batch` must already be in (file, offset) order with each entry once,
   /// as MappingTable::dirty_entries_into() returns it; the caller keeps it
-  /// alive (pool leases) until the task completes.
+  /// alive (pool leases) until the task completes.  Filters `batch` in
+  /// place, down to the entries that were still cached and dirty when
+  /// staging began.
   sim::Task<> flush_batch(std::vector<EntryId>& batch,
                           bool yield_to_foreground = false);
 
@@ -299,8 +301,9 @@ class IBridgeCache {
   sim::VectorPool<EntryId> id_pool_;
   sim::VectorPool<std::pair<Offset, Bytes>> range_pool_;
   sim::VectorPool<std::uint64_t> pin_pool_;
-  /// Extent-map scratch for disk_lbn/disk_end_lbn/charge_mapping_update;
-  /// each call consumes it before the next one refills it.
+  /// Extent-map scratch for disk_lbn/disk_end_lbn/charge_mapping_update
+  /// and flush_batch's log reads; each use consumes it before the next one
+  /// refills it.
   std::vector<fsim::MappedRange> map_scratch_;
   CacheObserver* observer_ = nullptr;
   WritebackGate* writeback_gate_ = nullptr;

@@ -21,10 +21,13 @@
 // independent simulation per job), or thread-local for the frame pool.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
+#include <vector>
 
 namespace ibridge::sim {
 
@@ -49,9 +52,12 @@ class ChunkPool {
       FreeNode* n = free_[b];
       while (n != nullptr) {
         FreeNode* next = n->next;
-        ::operator delete(n);
+        if (!primed(n)) ::operator delete(n);
         n = next;
       }
+    }
+    for (const auto& block : blocks_) {
+      ::operator delete(reinterpret_cast<void*>(block.first));
     }
   }
 
@@ -73,7 +79,8 @@ class ChunkPool {
   void deallocate(void* p, std::size_t n) noexcept {
     const std::size_t b = bucket_of(n);
     if (b >= kBuckets ||
-        idle_[b] >= kMaxIdleBytesPerBucket / ((b + 1) * kStep)) {
+        (idle_[b] >= kMaxIdleBytesPerBucket / ((b + 1) * kStep) &&
+         !primed(p))) {
       ::operator delete(p);
       return;
     }
@@ -87,15 +94,22 @@ class ChunkPool {
   /// chunks (clipped to the idle-byte cap).  Lets a component that knows its
   /// steady-state node size warm the pool at construction, so a high-water
   /// mark first reached mid-run never takes a fresh-chunk miss — the same
-  /// pre-sizing contract as MappingTable::reserve.  No-op for unpooled sizes.
+  /// pre-sizing contract as MappingTable::reserve.  The chunks are carved
+  /// from one allocation, which the pool keeps until it is destroyed, so
+  /// priming costs one allocation instead of `count`.  No-op for unpooled
+  /// sizes.
   void prime(std::size_t n, std::size_t count) {
     const std::size_t b = bucket_of(n);
     if (b >= kBuckets) return;
-    const std::uint32_t cap = static_cast<std::uint32_t>(
-        kMaxIdleBytesPerBucket / ((b + 1) * kStep));
-    for (std::size_t i = 0; i < count && idle_[b] < cap; ++i) {
-      FreeNode* node =
-          static_cast<FreeNode*>(::operator new((b + 1) * kStep));
+    const std::size_t size = (b + 1) * kStep;
+    const std::size_t cap = kMaxIdleBytesPerBucket / size;
+    count = idle_[b] >= cap ? 0 : std::min(count, cap - idle_[b]);
+    if (count == 0) return;
+    auto* block = static_cast<std::byte*>(::operator new(size * count));
+    const auto lo = reinterpret_cast<std::uintptr_t>(block);
+    blocks_.emplace_back(lo, lo + size * count);
+    for (std::size_t i = 0; i < count; ++i) {
+      auto* node = reinterpret_cast<FreeNode*>(block + i * size);
       node->next = free_[b];
       free_[b] = node;
       ++idle_[b];
@@ -120,6 +134,15 @@ class ChunkPool {
   };
   static_assert(kStep >= sizeof(FreeNode));
 
+  /// True when `p` lies in a prime() block: such a chunk is never freed on
+  /// its own, even past the idle cap.
+  bool primed(const void* p) const {
+    const auto a = reinterpret_cast<std::uintptr_t>(p);
+    return std::any_of(blocks_.begin(), blocks_.end(), [a](const auto& bl) {
+      return a >= bl.first && a < bl.second;
+    });
+  }
+
   /// Bucket index for a request, kBuckets when unpooled (0 or > kMaxChunk).
   static std::size_t bucket_of(std::size_t n) {
     if (n == 0 || n > kMaxChunk) return kBuckets;
@@ -128,6 +151,8 @@ class ChunkPool {
 
   std::array<FreeNode*, kBuckets> free_ = {};
   std::array<std::uint32_t, kBuckets> idle_ = {};
+  /// Address ranges [first, second) of the prime() blocks.
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> blocks_;
   std::uint64_t fresh_ = 0;
   std::uint64_t reused_ = 0;
 };

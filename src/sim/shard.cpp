@@ -36,7 +36,7 @@ void ShardGroup::post(Simulator& from, Simulator& to, SimTime when,
           "ShardGroup::post: cross-shard post inside the lookahead horizon");
     }
     outbox_[from.shard_id_].push_back(
-        PostRec{when, to.shard_id_, std::move(fn)});
+        PostRec{when, to.shard_id_, 0, std::move(fn)});
     return;
   }
   // Driver phase: deliver directly.  Shard clocks are synchronized after
@@ -121,17 +121,23 @@ void ShardGroup::run_window() {
 void ShardGroup::deliver() {
   scratch_.clear();
   for (std::vector<PostRec>& box : outbox_) {
-    for (PostRec& r : box) scratch_.push_back(std::move(r));
+    for (PostRec& r : box) {
+      r.pos = static_cast<std::uint32_t>(scratch_.size());
+      scratch_.push_back(std::move(r));
+    }
     box.clear();
   }
   if (scratch_.empty()) return;
-  // Stable sort by arrival time over the source-shard-ordered concatenation
-  // realizes the (when, src shard, send order) merge; the target shard then
-  // assigns fresh (monotone) sequence numbers in exactly this order, fixing
-  // the same-tick cross-shard tie-break.
-  std::stable_sort(
-      scratch_.begin(), scratch_.end(),
-      [](const PostRec& a, const PostRec& b) { return a.when < b.when; });
+  // Sorting by (arrival time, position in the source-shard-ordered
+  // concatenation) realizes the (when, src shard, send order) merge; the
+  // target shard then assigns fresh (monotone) sequence numbers in exactly
+  // this order, fixing the same-tick cross-shard tie-break.  std::sort
+  // takes no temporary buffer (std::stable_sort does), so a warm barrier
+  // never allocates.
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const PostRec& a, const PostRec& b) {
+              return a.when != b.when ? a.when < b.when : a.pos < b.pos;
+            });
   for (PostRec& r : scratch_) {
     Simulator& dst = sims_[r.dst];
     assert(r.when >= dst.now() && "post arrived inside a drained window");

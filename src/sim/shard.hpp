@@ -32,10 +32,10 @@
 // t + W >= M + W = end — never inside the window being drained; post()
 // throws std::logic_error for a post that would.  Posts are buffered in
 // per-source-shard FIFO outboxes and merged at the barrier in (arrival time,
-// source shard, send order) order — realized as a stable sort by arrival
-// time over the outboxes concatenated in shard order — then scheduled on the
-// target shard, which assigns fresh local sequence numbers in exactly that
-// order.  The drain order inside each shard is its own (when, seq) heap
+// source shard, send order) order — realized as a sort by (arrival time,
+// position) over the outboxes concatenated in shard order — then scheduled
+// on the target shard, which assigns fresh local sequence numbers in exactly
+// that order.  The drain order inside each shard is its own (when, seq) heap
 // order, so the entire schedule is a pure function of the initial events:
 // within a window no shard can observe another, so the order in which the
 // shards are drained does not matter either.
@@ -168,6 +168,7 @@ class ShardGroup {
   struct PostRec {
     SimTime when;
     std::uint32_t dst;
+    std::uint32_t pos;  ///< index in the barrier's concatenated outboxes
     InlineEvent fn;
   };
 

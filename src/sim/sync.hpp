@@ -32,6 +32,8 @@ struct Delay {
   void await_resume() const noexcept {}
 };
 
+class JoinSet;
+
 namespace detail {
 
 /// Vector-backed FIFO ring of coroutine handles.  std::deque allocates and
@@ -93,21 +95,16 @@ class HandleRing {
   std::size_t count_ = 0;
 };
 
-/// Shared one-shot state for SimFuture/SimPromise.
+/// Shared one-shot state for SimFuture/SimPromise.  It has one consumer at
+/// most: an awaiting coroutine (`waiter`) or a JoinSet (`join`).
 template <typename T>
 struct FutureState {
   Simulator* sim = nullptr;
   std::optional<T> value;
   std::coroutine_handle<> waiter;
+  JoinSet* join = nullptr;
 
-  void fulfill(T v) {
-    assert(!value.has_value() && "SimPromise fulfilled twice");
-    value = std::move(v);
-    if (waiter) {
-      auto h = std::exchange(waiter, nullptr);
-      sim->defer([h] { h.resume(); });
-    }
-  }
+  void fulfill(T v);  // defined after JoinSet, which it may notify
 };
 
 }  // namespace detail
@@ -127,7 +124,8 @@ class SimFuture {
 
   bool await_ready() const noexcept { return ready(); }
   void await_suspend(std::coroutine_handle<> h) {
-    assert(state_ && !state_->waiter && "only one waiter per SimFuture");
+    assert(state_ && !state_->waiter && state_->join == nullptr &&
+           "only one consumer per SimFuture");
     state_->waiter = h;
   }
   T await_resume() {
@@ -143,6 +141,7 @@ class SimFuture {
 
  private:
   friend class SimPromise<T>;
+  friend class JoinSet;
   explicit SimFuture(std::shared_ptr<detail::FutureState<T>> s)
       : state_(std::move(s)) {}
   std::shared_ptr<detail::FutureState<T>> state_;
@@ -285,17 +284,20 @@ class TaskGroup {
   std::deque<Task<>> tasks_;  // deque: stable addresses for the start lambda
 };
 
-/// Fork/join for a bounded set of child coroutines.
+/// Fork/join for a bounded set of children: coroutines or futures.
 ///
 ///   JoinSet js(sim);
-///   for (...) js.add(subrequest(...));
+///   for (...) js.add(subrequest(...));  // or js.add(device.submit(...))
 ///   co_await js.join();            // resumes when every child finished
 ///
-/// The JoinSet must outlive its children (keep it on the awaiting coroutine's
-/// frame and always co_await join() before returning).  Each child rides a
-/// DetachedTask wrapper whose pooled frame owns the child and frees itself on
-/// completion, so a fork/join costs no container allocation — the property
-/// the allocation-free client request path depends on.
+/// The JoinSet must outlive its children, tasks and futures alike (keep it
+/// on the awaiting coroutine's frame and always co_await join() before
+/// returning).  Each task child rides a DetachedTask wrapper whose pooled
+/// frame owns the child and frees itself on completion, so a fork/join
+/// costs no container allocation — the property the allocation-free client
+/// request path depends on.  A future child needs no frame: fulfilling it
+/// defers its arrival where it would defer an awaiting child's resume, so
+/// both kinds of child spend the same events.
 class JoinSet {
  public:
   explicit JoinSet(Simulator& sim) : sim_(sim) {}
@@ -306,6 +308,17 @@ class JoinSet {
   void add(Task<> t) {
     ++total_;
     wrap(std::move(t));  // eager: runs until the child's first suspension
+  }
+
+  /// Add a pending future of this simulator as a child; the JoinSet must be
+  /// its only consumer.
+  template <typename T>
+  void add(const SimFuture<T>& f) {
+    detail::FutureState<T>& s = *f.state_;
+    assert(!s.value && !s.waiter && s.join == nullptr && s.sim == &sim_ &&
+           "JoinSet::add: future is ready, consumed or foreign");
+    ++total_;
+    s.join = this;
   }
 
   struct Awaiter {
@@ -321,11 +334,16 @@ class JoinSet {
   /// Suspend until all added children have completed.
   Awaiter join() { return Awaiter{*this}; }
 
-  std::size_t pending() const { return total_ - done_; }
-
  private:
+  template <typename T>
+  friend struct detail::FutureState;
+
   DetachedTask wrap(Task<> t) {
     co_await t;
+    arrive();
+  }
+
+  void arrive() {
     ++done_;
     if (waiter_ && done_ == total_) {
       auto h = std::exchange(waiter_, nullptr);
@@ -338,5 +356,18 @@ class JoinSet {
   std::size_t done_ = 0;
   std::coroutine_handle<> waiter_ = nullptr;
 };
+
+template <typename T>
+void detail::FutureState<T>::fulfill(T v) {
+  assert(!value.has_value() && "SimPromise fulfilled twice");
+  value = std::move(v);
+  if (waiter) {
+    auto h = std::exchange(waiter, nullptr);
+    sim->defer([h] { h.resume(); });
+  } else if (join != nullptr) {
+    JoinSet* js = std::exchange(join, nullptr);
+    sim->defer([js] { js->arrive(); });
+  }
+}
 
 }  // namespace ibridge::sim

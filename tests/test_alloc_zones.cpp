@@ -2,14 +2,14 @@
 //
 // bench_simcore, bench_cacheplane and bench_scale count every global
 // operator new over their measured windows, which covers the event engine,
-// the cache data plane and the stock serve path.  Five hot functions run
+// the cache data plane and the stock serve path.  Seven hot functions run
 // outside all three windows: fragment tagging, the Equation (3) return
-// estimate and the T-board broadcast run only on iBridge clusters
-// (bench_scale's window is stock), the streaming classifier only in trace
-// tools, and the batched tick step only on the sharded core.  Each test
-// below warms its function once, then counts allocations over repeated
-// calls with the same shared counter (bench/alloc_count.hpp) and requires
-// exactly zero.
+// estimate, the T-board broadcast and the write-back flush run only on
+// iBridge clusters (bench_scale's window is stock), the streaming
+// classifier only in trace tools, and the batched tick step and the
+// barrier merge only on the sharded core.  Each test below warms its
+// function once, then counts allocations over repeated calls with the same
+// shared counter (bench/alloc_count.hpp) and requires exactly zero.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,9 @@
 #include "core/tagger.hpp"
 #include "pvfs/layout.hpp"
 #include "pvfs/metadata.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
+#include "sim/task.hpp"
 #include "workloads/trace.hpp"
 
 namespace ibridge {
@@ -141,6 +143,92 @@ TEST(AllocZones, BoardBroadcastIsAllocationFree) {
   sim.run_until(sim.now() + interval * kBroadcasts);
   EXPECT_EQ(bench::alloc_count() - a0, 0u);
   EXPECT_EQ(c.server(0).cache()->board(), c.mds().board());
+}
+
+// One hop of a token passed around a shard ring: the token moves to the
+// next shard, arriving one lookahead later, until `left` hops are spent.
+void pass_token(sim::ShardGroup& g, int at, int& left) {
+  if (left <= 0) return;
+  --left;
+  const int to = (at + 1) % g.shards();
+  sim::Simulator& from = g.shard(at);
+  g.post(from, g.shard(to), from.now() + g.lookahead(),
+         sim::InlineEvent([&g, to, &left] { pass_token(g, to, left); }));
+}
+
+TEST(AllocZones, ShardBarrierMergeIsAllocationFree) {
+  constexpr int kHops = 200;
+  sim::ShardGroup g(3, sim::SimTime::micros(1));
+  int left = 0;
+  // Two tokens, so every barrier merges two same-tick posts.
+  const auto pass_two_tokens = [&] {
+    left = 2 * kHops;
+    for (int s = 0; s < 2; ++s) {
+      g.shard(s).schedule_at(g.shard(s).now(), sim::InlineEvent([&g, s, &left] {
+        pass_token(g, s, left);
+      }));
+    }
+    g.run_all();
+  };
+  pass_two_tokens();  // warm: outboxes, merge buffer and heaps reach size
+  const std::uint64_t posts0 = g.posts_delivered();
+
+  const std::uint64_t a0 = bench::alloc_count();
+  pass_two_tokens();
+  EXPECT_EQ(bench::alloc_count() - a0, 0u);
+  EXPECT_EQ(g.posts_delivered() - posts0, 2u * kHops);
+}
+
+sim::Task<> write_records(cluster::Cluster& c, pvfs::FileHandle fh,
+                          const std::vector<std::int64_t>& offsets,
+                          std::int64_t record, bool& done) {
+  for (const std::int64_t off : offsets) {
+    co_await c.client().write_at(0, fh, off, record);
+  }
+  done = true;
+}
+
+sim::Task<> flush(core::IBridgeCache& cache, Bytes budget, bool& done) {
+  co_await cache.flush_dirty(budget);
+  done = true;
+}
+
+TEST(AllocZones, WritebackFlushIsAllocationFree) {
+  constexpr int kRecords = 300;
+  constexpr std::int64_t kRecord = 800;
+  const cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
+  const std::int64_t row = cfg.data_servers * cfg.stripe_unit;
+  cluster::Cluster c(cfg);
+  const pvfs::FileHandle fh = c.create_file("f", 8192 * row);
+  // Scattered records, each inside one stripe unit of server 0.
+  std::vector<std::int64_t> offsets;
+  for (int i = 0; i < kRecords; ++i) {
+    offsets.push_back((i * 977) % 8192 * row + 1000);
+  }
+  core::IBridgeCache& cache = *c.server(0).cache();
+  cache.stop();  // the flush under test is the only write-back
+
+  std::uint64_t allocs = 0;
+  std::uint64_t flushed = 0;
+  for (int round = 0; round < 3; ++round) {
+    bool written = false;
+    auto w = write_records(c, fh, offsets, kRecord, written);
+    w.start();
+    c.sim().run_while_pending([&] { return written; });
+    ASSERT_TRUE(written);
+
+    const std::uint64_t wb0 = cache.stats().writebacks;
+    bool done = false;
+    auto f = flush(cache, Bytes{256 << 10}, done);
+    const std::uint64_t a0 = bench::alloc_count();
+    f.start();
+    c.sim().run_while_pending([&] { return done; });
+    allocs = bench::alloc_count() - a0;  // the last (warm) round counts
+    flushed = cache.stats().writebacks - wb0;
+    ASSERT_TRUE(done);
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(flushed, static_cast<std::uint64_t>(kRecords));
 }
 
 }  // namespace

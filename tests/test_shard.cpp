@@ -82,32 +82,41 @@ TEST(ShardGroup, EventExactlyAtWindowBoundaryRunsInNextWindow) {
 }
 
 // Same-tick cross-shard deliveries tie-break in (source shard, send order):
-// the barrier concatenates the per-source FIFOs in shard order and
-// stable-sorts by arrival time only.
+// the barrier concatenates the per-source FIFOs in shard order and sorts by
+// (arrival time, position).  48 posts meet at one barrier, enough that the
+// merge is a real sort rather than a small-input insertion pass.
 TEST(ShardGroup, SameTickDeliveriesMergeInSourceShardSendOrder) {
+  constexpr int kPerShard = 24;
   ShardGroup g(3, kW);
   std::vector<int> order;  // filled on shard 0 only
 
-  // Both source shards send two posts to shard 0, all arriving at 2W.
-  // Shard 2 is armed *earlier* (t=0) than shard 1 (t=W/2) — arrival-time
-  // and source-order must win over arming order.
-  g.shard(2).schedule_at(SimTime::zero(), InlineEvent([&] {
-    Simulator& self = g.shard(2);
-    const SimTime at = SimTime::nanos(2 * kW.ns());
-    g.post(self, g.shard(0), at, InlineEvent([&] { order.push_back(21); }));
-    g.post(self, g.shard(0), at, InlineEvent([&] { order.push_back(22); }));
-  }));
-  g.shard(1).schedule_at(SimTime::nanos(kW.ns() / 2), InlineEvent([&] {
-    Simulator& self = g.shard(1);
-    const SimTime at = SimTime::nanos(2 * kW.ns());
-    g.post(self, g.shard(0), at, InlineEvent([&] { order.push_back(11); }));
-    g.post(self, g.shard(0), at, InlineEvent([&] { order.push_back(12); }));
-  }));
+  // Both source shards send to shard 0, arrivals alternating 3W, 2W, ...
+  // Shard 2 is armed *earlier* (t=0) than shard 1 (t=W/2) — arrival time
+  // and source order must win over arming order.
+  const auto send_all = [&](int src) {
+    Simulator& self = g.shard(src);
+    for (int k = 0; k < kPerShard; ++k) {
+      const SimTime at = SimTime::nanos((k % 2 == 0 ? 3 : 2) * kW.ns());
+      const int label = src * 100 + k;
+      g.post(self, g.shard(0), at,
+             InlineEvent([&order, label] { order.push_back(label); }));
+    }
+  };
+  g.shard(2).schedule_at(SimTime::zero(), InlineEvent([&] { send_all(2); }));
+  g.shard(1).schedule_at(SimTime::nanos(kW.ns() / 2),
+                         InlineEvent([&] { send_all(1); }));
   g.run_all();
 
-  const std::vector<int> want{11, 12, 21, 22};
+  std::vector<int> want;
+  for (const int first_k : {1, 0}) {  // the 2W arrivals, then the 3W ones
+    for (const int src : {1, 2}) {
+      for (int k = first_k; k < kPerShard; k += 2) {
+        want.push_back(src * 100 + k);
+      }
+    }
+  }
   EXPECT_EQ(order, want);
-  EXPECT_EQ(g.posts_delivered(), 4u);
+  EXPECT_EQ(g.posts_delivered(), 2u * kPerShard);
 }
 
 // Inside a window a post must arrive at least one lookahead after its

@@ -394,6 +394,80 @@ TEST(JoinSet, EmptyJoinIsImmediate) {
   EXPECT_TRUE(joined);
 }
 
+// A fork/join over promises fulfilled at scrambled times, three per tick,
+// amid labelled bystander events: on each tick some are scheduled before
+// the fulfils, some after, and each fulfil defers one more.  Child i joins
+// as a task awaiting its future when as_task(i), as the bare future
+// otherwise.  Returns the label log (the joiner's resume included) and the
+// number of events executed.
+Task<> await_future(SimFuture<int> f) { co_await f; }
+
+template <typename AsTask>
+Task<> join_promises(Simulator& sim, std::vector<SimPromise<int>>& ps,
+                     AsTask as_task, std::vector<std::string>& log) {
+  JoinSet js(sim);
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    if (as_task(i)) {
+      js.add(await_future(ps[i].get_future()));
+    } else {
+      js.add(ps[i].get_future());
+    }
+  }
+  co_await js.join();
+  log.push_back("joined@" + std::to_string(sim.now().ns()));
+}
+
+template <typename AsTask>
+std::pair<std::vector<std::string>, std::uint64_t> run_join(AsTask as_task) {
+  constexpr int kChildren = 12;
+  constexpr int kTicks = 4;
+  Simulator sim;
+  std::vector<std::string> log;
+  const auto label = [&](std::string name) {
+    return InlineEvent([&sim, &log, name = std::move(name)] {
+      log.push_back(name + "@" + std::to_string(sim.now().ns()));
+    });
+  };
+  std::vector<SimPromise<int>> ps;
+  for (int i = 0; i < kChildren; ++i) ps.emplace_back(sim);
+  for (int t = 1; t <= kTicks; ++t) {
+    sim.schedule_at(SimTime::millis(t), label("before" + std::to_string(t)));
+  }
+  for (int i = 0; i < kChildren; ++i) {
+    sim.schedule_at(SimTime::millis(1 + (i * 7) % kTicks), [&, i] {
+      ps[static_cast<std::size_t>(i)].set_value(i);
+      sim.defer(label("defer" + std::to_string(i)));
+    });
+  }
+  for (int t = 1; t <= kTicks; ++t) {
+    sim.schedule_at(SimTime::millis(t), label("after" + std::to_string(t)));
+  }
+  auto joiner = join_promises(sim, ps, as_task, log);
+  joiner.start();
+  sim.run();
+  return {log, sim.events_executed()};
+}
+
+TEST(JoinSet, JoinedFuturesKeepTheTaskChildSchedule) {
+  const auto tasks = run_join([](std::size_t) { return true; });
+  const auto futures = run_join([](std::size_t) { return false; });
+  EXPECT_EQ(futures.first, tasks.first);
+  EXPECT_EQ(futures.second, tasks.second);
+  // The joiner resumes one deferral after the last arrival, which itself
+  // lands one deferral after the last fulfil (children 1, 5 and 9 share
+  // tick 4, and 9 is fulfilled last).
+  ASSERT_GE(tasks.first.size(), 2u);
+  EXPECT_EQ(tasks.first.back(), "joined@4000000");
+  EXPECT_EQ(tasks.first[tasks.first.size() - 2], "defer9@4000000");
+}
+
+TEST(JoinSet, MixedTaskAndFutureChildrenKeepTheSchedule) {
+  const auto tasks = run_join([](std::size_t) { return true; });
+  const auto mixed = run_join([](std::size_t i) { return i % 2 == 0; });
+  EXPECT_EQ(mixed.first, tasks.first);
+  EXPECT_EQ(mixed.second, tasks.second);
+}
+
 // ------------------------------------------------------------ TaskGroup ----
 
 TEST(TaskGroup, TracksCompletionAndReaps) {
@@ -713,6 +787,28 @@ TEST(ChunkPool, OversizeRequestsBypassThePool) {
   EXPECT_EQ(pool.idle_chunks(), 0u);
   EXPECT_EQ(pool.fresh_allocs(), 0u);  // stats track pooled classes only
   EXPECT_EQ(pool.reused_allocs(), 0u);
+}
+
+TEST(ChunkPool, PrimedChunksStayPooledPastTheIdleCap) {
+  constexpr std::size_t kSize = ChunkPool::kMaxChunk;
+  constexpr std::size_t kCap = ChunkPool::kMaxIdleBytesPerBucket / kSize;
+  constexpr std::size_t kPrimed = 8;
+  ChunkPool pool;
+  pool.prime(kSize, kPrimed);
+  EXPECT_EQ(pool.idle_chunks(), kPrimed);
+  std::vector<void*> held;
+  for (std::size_t i = 0; i < kCap + 40; ++i) {
+    held.push_back(pool.allocate(kSize));
+  }
+  EXPECT_EQ(pool.reused_allocs(), kPrimed);
+  EXPECT_EQ(pool.fresh_allocs(), kCap + 40 - kPrimed);
+  // Fresh chunks first: they fill the idle list to its cap, so the primed
+  // chunks, carved from one block, arrive past it and must stay pooled
+  // (freeing one alone would free an interior pointer).
+  for (auto it = held.rbegin(); it != held.rend(); ++it) {
+    pool.deallocate(*it, kSize);
+  }
+  EXPECT_EQ(pool.idle_chunks(), kCap + kPrimed);
 }
 
 Task<> frame_pool_leaf() { co_return; }
