@@ -69,10 +69,12 @@ int main() {
     return rank_body(ctx, file, &blocks, &read_ms);
   });
   c.sim().run_while_pending([&] { return env.finished(); });
-  c.drain();
+  // drain()'s return value, not sim().now(): the clock keeps running past
+  // the last flush while idle daemons wake up.
+  const sim::SimTime finished = c.drain();
 
   std::printf("exchange of %d unaligned blocks finished at t=%s\n", kRanks,
-              c.sim().now().to_string().c_str());
+              finished.to_string().c_str());
   std::printf("neighbour-read latency: mean %.2f ms, max %.2f ms\n",
               read_ms.mean(), read_ms.max());
   for (int s = 0; s < c.server_count(); ++s) {

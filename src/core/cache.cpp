@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ibridge::core {
@@ -50,7 +52,12 @@ IBridgeCache::IBridgeCache(sim::Simulator& sim, IBridgeConfig cfg,
   // Pre-create the log file with slack for piggybacked mapping updates.
   log_file_ = ssd_fs_.create("ibridge.log",
                              cfg.ssd_cache_bytes + (1 << 20));
-  assert(log_file_ != fsim::kInvalidFile && "SSD too small for cache log");
+  if (log_file_ == fsim::kInvalidFile) {
+    throw std::invalid_argument(
+        "core::IBridgeCache: ssd_cache_bytes = " +
+        std::to_string(cfg.ssd_cache_bytes) +
+        " plus the log's slack does not fit on the SSD");
+  }
   // flush_batch() reads each entry back as a single block request.
   assert(ssd_fs_.file(log_file_).contiguous() && "cache log is one extent");
   table_.reserve(kMappingReserveEntries);
@@ -552,14 +559,17 @@ sim::Task<> IBridgeCache::flush_batch(std::vector<EntryId>& batch,
     return table_.contains(id) && table_.get(id).dirty;
   };
   std::erase_if(batch, [&live](EntryId id) { return !live(id); });
+  auto staged = read_pool_.acquire();
+  staged->resize(batch.size());
   sim::JoinSet reads(sim_);
-  for (EntryId id : batch) {
-    const CacheEntry& e = table_.get(id);
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    const CacheEntry& e = table_.get(batch[k]);
     ssd_fs_.file(log_file_).map_into(e.log_off.value(), e.length.count(),
                                      map_scratch_);
-    reads.add(ssd_fs_.device().submit({IoDirection::kRead,
-                                       map_scratch_.front().lbn,
-                                       map_scratch_.front().sectors, 0}));
+    ssd_fs_.device().submit({IoDirection::kRead, map_scratch_.front().lbn,
+                             map_scratch_.front().sectors, 0},
+                            &(*staged)[k]);
+    reads.add((*staged)[k]);
   }
   co_await reads.join();
   if (gate_cut("batch.staged")) {

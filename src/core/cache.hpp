@@ -301,6 +301,10 @@ class IBridgeCache {
   sim::VectorPool<EntryId> id_pool_;
   sim::VectorPool<std::pair<Offset, Bytes>> range_pool_;
   sim::VectorPool<std::uint64_t> pin_pool_;
+  /// One completion record per log read flush_batch stages (see
+  /// sim::Completion: sized before the first submit, so none moves while
+  /// the SSD holds it).
+  sim::VectorPool<sim::Completion<storage::BlockCompletion>> read_pool_;
   /// Extent-map scratch for disk_lbn/disk_end_lbn/charge_mapping_update
   /// and flush_batch's log reads; each use consumes it before the next one
   /// refills it.

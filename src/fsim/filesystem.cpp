@@ -195,13 +195,10 @@ sim::Task<sim::SimTime> LocalFileSystem::read_allocated(
   const sim::SimTime t0 = sim_.now();
   auto pieces = map_pool_.acquire();
   f.map_into(offset, length, *pieces);
-  auto futs = fut_pool_.acquire();
-  futs->reserve(pieces->size());
-  for (const auto& p : *pieces) {
-    futs->push_back(
-        dev_.submit({storage::IoDirection::kRead, p.lbn, p.sectors, tag}));
-  }
-  for (auto& fu : *futs) co_await fu;
+  auto done = done_pool_.acquire();
+  done->resize(pieces->size());
+  submit_pieces(*pieces, storage::IoDirection::kRead, tag, done->data());
+  for (Record& r : *done) co_await r;
 
   if (mode_ == DataMode::kVerify && !out.empty()) {
     assert(std::cmp_equal(out.size(), length));
@@ -225,7 +222,7 @@ sim::Task<sim::SimTime> LocalFileSystem::write(FileId id, std::int64_t offset,
   // Page-granularity read-modify-write: partially covered boundary pages
   // must be read in before the write can proceed.
   if (rmw_page_ > 0) {
-    auto fills = fut_pool_.acquire();
+    auto fills = done_pool_.acquire();
     auto fill_pieces = map_pool_.acquire();
     const std::int64_t head = offset % rmw_page_;
     const std::int64_t tail = (offset + length) % rmw_page_;
@@ -234,39 +231,42 @@ sim::Task<sim::SimTime> LocalFileSystem::write(FileId id, std::int64_t offset,
         f, ((offset + length) / rmw_page_ + 1) * rmw_page_);
     assert(ok2 && "device full during RMW fill");
     (void)ok2;
-    if (head != 0) {
-      f.map_into(offset - head, rmw_page_, *fill_pieces);
-      for (const auto& p : *fill_pieces) {
-        fills->push_back(
-            dev_.submit({storage::IoDirection::kRead, p.lbn, p.sectors, tag}));
-      }
-    }
+    // Both pages are mapped before the first fill is submitted, so the
+    // records are sized up front.
+    if (head != 0) f.map_into(offset - head, rmw_page_, *fill_pieces);
+    tail_pieces_.clear();
     if (tail != 0 && (head == 0 || length > rmw_page_ - head)) {
       f.map_into(((offset + length) / rmw_page_) * rmw_page_, rmw_page_,
-                 *fill_pieces);
-      for (const auto& p : *fill_pieces) {
-        fills->push_back(
-            dev_.submit({storage::IoDirection::kRead, p.lbn, p.sectors, tag}));
-      }
+                 tail_pieces_);
     }
-    for (auto& fu : *fills) co_await fu;
+    fills->resize(fill_pieces->size() + tail_pieces_.size());
+    submit_pieces(*fill_pieces, storage::IoDirection::kRead, tag,
+                  fills->data());
+    submit_pieces(tail_pieces_, storage::IoDirection::kRead, tag,
+                  fills->data() + fill_pieces->size());
+    for (Record& r : *fills) co_await r;
   }
 
   auto pieces = map_pool_.acquire();
   f.map_into(offset, length, *pieces);
-  auto futs = fut_pool_.acquire();
-  futs->reserve(pieces->size());
-  for (const auto& p : *pieces) {
-    futs->push_back(
-        dev_.submit({storage::IoDirection::kWrite, p.lbn, p.sectors, tag}));
-  }
-  for (auto& fu : *futs) co_await fu;
+  auto done = done_pool_.acquire();
+  done->resize(pieces->size());
+  submit_pieces(*pieces, storage::IoDirection::kWrite, tag, done->data());
+  for (Record& r : *done) co_await r;
 
   if (mode_ == DataMode::kVerify && !in.empty()) {
     assert(std::cmp_equal(in.size(), length));
     poke_bytes(id, offset, in);
   }
   co_return sim_.now() - t0;
+}
+
+void LocalFileSystem::submit_pieces(const std::vector<MappedRange>& pieces,
+                                    storage::IoDirection dir, int tag,
+                                    Record* done) {
+  for (const MappedRange& p : pieces) {
+    dev_.submit({dir, p.lbn, p.sectors, tag}, done++);
+  }
 }
 
 void LocalFileSystem::poke_bytes(FileId id, std::int64_t offset,

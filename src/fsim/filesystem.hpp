@@ -155,11 +155,16 @@ class LocalFileSystem {
                   std::span<std::byte> out) const;
 
  private:
+  using Record = sim::Completion<storage::BlockCompletion>;
+
   bool ensure_allocated(LocalFile& f, std::int64_t size_bytes);
   sim::Task<sim::SimTime> read_allocated(LocalFile& f, FileId id,
                                          std::int64_t offset,
                                          std::int64_t length,
                                          std::span<std::byte> out, int tag);
+  /// Submit one `dir` request per piece; piece k completes into done[k].
+  void submit_pieces(const std::vector<MappedRange>& pieces,
+                     storage::IoDirection dir, int tag, Record* done);
 
   sim::Simulator& sim_;
   storage::BlockDevice& dev_;
@@ -174,11 +179,16 @@ class LocalFileSystem {
   static constexpr std::int64_t kChunk = 4096;
   std::map<FileId, std::map<std::int64_t, std::vector<std::byte>>> data_;
   FileId next_id_ = 1;
-  // Per-request scratch vectors (mapped pieces, completion futures) recycle
+  // Per-request scratch vectors (mapped pieces, completion records) recycle
   // through these pools: steady-state reads/writes do zero heap allocation
-  // even in timing-only mode (see docs/PERF.md).
+  // even in timing-only mode (see docs/PERF.md).  A request's records are
+  // sized before its first submit, so none moves while the device holds it.
   sim::VectorPool<MappedRange> map_pool_;
-  sim::VectorPool<sim::SimFuture<storage::BlockCompletion>> fut_pool_;
+  sim::VectorPool<Record> done_pool_;
+  /// The tail page's pieces of a read-modify-write fill, held beside the
+  /// head page's leased ones only until both are submitted (no suspension
+  /// in between, so one scratch serves every concurrent write).
+  std::vector<MappedRange> tail_pieces_;
 };
 
 }  // namespace ibridge::fsim

@@ -1,7 +1,7 @@
 // Pooled, reusable std::vector backing stores for per-request scratch data.
 //
 // Timing-mode runs allocate short-lived vectors on every request — payload
-// staging buffers in core::IBridgeCache (verify mode), completion-future and
+// staging buffers in core::IBridgeCache (verify mode), completion-record and
 // mapped-range vectors in fsim::LocalFileSystem (every read/write) — and the
 // allocator round-trip shows up right next to the event loop on the profile
 // (docs/PERF.md).  VectorPool recycles those vectors: a Lease hands out a

@@ -9,12 +9,9 @@
 #include <cassert>
 #include <coroutine>
 #include <deque>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "sim/mem_pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -31,8 +28,6 @@ struct Delay {
   }
   void await_resume() const noexcept {}
 };
-
-class JoinSet;
 
 namespace detail {
 
@@ -95,81 +90,7 @@ class HandleRing {
   std::size_t count_ = 0;
 };
 
-/// Shared one-shot state for SimFuture/SimPromise.  It has one consumer at
-/// most: an awaiting coroutine (`waiter`) or a JoinSet (`join`).
-template <typename T>
-struct FutureState {
-  Simulator* sim = nullptr;
-  std::optional<T> value;
-  std::coroutine_handle<> waiter;
-  JoinSet* join = nullptr;
-
-  void fulfill(T v);  // defined after JoinSet, which it may notify
-};
-
 }  // namespace detail
-
-template <typename T>
-class SimPromise;
-
-/// One-shot future.  `co_await future` suspends until the matching
-/// SimPromise::set_value runs, then yields the value.  Copyable handle.
-template <typename T>
-class SimFuture {
- public:
-  SimFuture() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  bool ready() const { return state_ && state_->value.has_value(); }
-
-  bool await_ready() const noexcept { return ready(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    assert(state_ && !state_->waiter && state_->join == nullptr &&
-           "only one consumer per SimFuture");
-    state_->waiter = h;
-  }
-  T await_resume() {
-    assert(state_->value.has_value());
-    return std::move(*state_->value);
-  }
-
-  /// Non-coroutine access once ready (used from driver code after run()).
-  const T& get() const {
-    assert(ready());
-    return *state_->value;
-  }
-
- private:
-  friend class SimPromise<T>;
-  friend class JoinSet;
-  explicit SimFuture(std::shared_ptr<detail::FutureState<T>> s)
-      : state_(std::move(s)) {}
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
-/// Producer side of SimFuture.
-template <typename T>
-class SimPromise {
- public:
-  // The one-shot shared state rides the thread's coroutine-frame pool: a
-  // promise/future pair lives exactly as long as one request, so the node
-  // freed at completion is recycled by the next submit and steady-state
-  // request churn never touches the global allocator.  Thread-locality holds
-  // for the same reason it does for Task frames: a simulation, every shard
-  // included, runs on one thread, so a state is freed on the thread that
-  // allocated it.
-  explicit SimPromise(Simulator& sim)
-      : state_(std::allocate_shared<detail::FutureState<T>>(
-            PoolAllocator<detail::FutureState<T>>(frame_pool()))) {
-    state_->sim = &sim;
-  }
-
-  SimFuture<T> get_future() const { return SimFuture<T>(state_); }
-  void set_value(T v) const { state_->fulfill(std::move(v)); }
-
- private:
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
 
 /// Counting event: waiters block until `count` arrivals have happened.
 /// Reusable (auto-resets), like an MPI barrier across `parties` coroutines.
@@ -284,18 +205,22 @@ class TaskGroup {
   std::deque<Task<>> tasks_;  // deque: stable addresses for the start lambda
 };
 
-/// Fork/join for a bounded set of children: coroutines or futures.
+template <typename T>
+class Completion;
+
+/// Fork/join for a bounded set of children: coroutines or completion
+/// records.
 ///
 ///   JoinSet js(sim);
-///   for (...) js.add(subrequest(...));  // or js.add(device.submit(...))
+///   for (...) js.add(subrequest(...));  // or js.add(record) after submit
 ///   co_await js.join();            // resumes when every child finished
 ///
-/// The JoinSet must outlive its children, tasks and futures alike (keep it
+/// The JoinSet must outlive its children, tasks and records alike (keep it
 /// on the awaiting coroutine's frame and always co_await join() before
 /// returning).  Each task child rides a DetachedTask wrapper whose pooled
 /// frame owns the child and frees itself on completion, so a fork/join
 /// costs no container allocation — the property the allocation-free client
-/// request path depends on.  A future child needs no frame: fulfilling it
+/// request path depends on.  A record child needs no frame: completing it
 /// defers its arrival where it would defer an awaiting child's resume, so
 /// both kinds of child spend the same events.
 class JoinSet {
@@ -310,15 +235,15 @@ class JoinSet {
     wrap(std::move(t));  // eager: runs until the child's first suspension
   }
 
-  /// Add a pending future of this simulator as a child; the JoinSet must be
-  /// its only consumer.
+  /// Add a submitted, still pending record as a child.  The JoinSet must be
+  /// its only consumer, and its producer must complete it on this JoinSet's
+  /// simulator.
   template <typename T>
-  void add(const SimFuture<T>& f) {
-    detail::FutureState<T>& s = *f.state_;
-    assert(!s.value && !s.waiter && s.join == nullptr && s.sim == &sim_ &&
-           "JoinSet::add: future is ready, consumed or foreign");
+  void add(Completion<T>& c) {
+    assert(!c.ready_ && !c.waiter_ && c.join_ == nullptr &&
+           "JoinSet::add: record is complete or already consumed");
     ++total_;
-    s.join = this;
+    c.join_ = this;
   }
 
   struct Awaiter {
@@ -336,7 +261,7 @@ class JoinSet {
 
  private:
   template <typename T>
-  friend struct detail::FutureState;
+  friend class Completion;
 
   DetachedTask wrap(Task<> t) {
     co_await t;
@@ -357,17 +282,72 @@ class JoinSet {
   std::coroutine_handle<> waiter_ = nullptr;
 };
 
+/// One-shot completion record for a device request.  Whoever submits the
+/// request owns the record and keeps it where it already keeps that
+/// request's state (a coroutine frame, a pooled vector); the device holds a
+/// raw pointer to it while the request is queued and fills it in place
+/// through complete().  So a record must stay put from submission until its
+/// consumer has woken: size a vector of records before the first submit.
+///
+/// A record has one consumer at most: a coroutine that co_awaits it, or a
+/// JoinSet it was added to.  complete() stores the value and defers the
+/// awaiter's resume, else the JoinSet's arrival, else nothing: one event at
+/// most, at the tick the device finishes, and no allocation.  A request
+/// nobody waits for is submitted without a record.
 template <typename T>
-void detail::FutureState<T>::fulfill(T v) {
-  assert(!value.has_value() && "SimPromise fulfilled twice");
-  value = std::move(v);
-  if (waiter) {
-    auto h = std::exchange(waiter, nullptr);
-    sim->defer([h] { h.resume(); });
-  } else if (join != nullptr) {
-    JoinSet* js = std::exchange(join, nullptr);
-    sim->defer([js] { js->arrive(); });
+class Completion {
+ public:
+  Completion() = default;
+  // Movable only while idle, so a vector of records can be sized before
+  // the first submit; a copy of a submitted record would never complete.
+  Completion(Completion&& idle) noexcept {
+    assert(!idle.ready_ && !idle.waiter_ && idle.join_ == nullptr &&
+           "only an idle record may move");
+    (void)idle;
   }
-}
+  Completion(const Completion&) = delete;
+  Completion& operator=(const Completion&) = delete;
+  Completion& operator=(Completion&&) = delete;
+
+  bool ready() const { return ready_; }
+
+  /// The value, once complete (driver code after run(), tests).
+  const T& get() const {
+    assert(ready_);
+    return value_;
+  }
+
+  bool await_ready() const noexcept { return ready_; }
+  void await_suspend(std::coroutine_handle<> h) {
+    assert(!waiter_ && join_ == nullptr && "only one consumer per record");
+    waiter_ = h;
+  }
+  T await_resume() const {
+    assert(ready_);
+    return value_;
+  }
+
+  /// Producer side: store `v` and wake the consumer, if any, through `sim`.
+  void complete(Simulator& sim, T v) {
+    assert(!ready_ && "completion record completed twice");
+    value_ = std::move(v);
+    ready_ = true;
+    if (waiter_) {
+      auto h = std::exchange(waiter_, nullptr);
+      sim.defer([h] { h.resume(); });
+    } else if (join_ != nullptr) {
+      JoinSet* js = std::exchange(join_, nullptr);
+      sim.defer([js] { js->arrive(); });
+    }
+  }
+
+ private:
+  friend class JoinSet;
+
+  T value_{};
+  bool ready_ = false;
+  std::coroutine_handle<> waiter_;
+  JoinSet* join_ = nullptr;
+};
 
 }  // namespace ibridge::sim

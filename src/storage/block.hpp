@@ -31,21 +31,24 @@ struct BlockRequest {
   std::int64_t bytes() const { return sectors * kSectorBytes; }
 };
 
-/// Completion record delivered through the request's future.
+/// What a completed request reports to its submitter's completion record.
 struct BlockCompletion {
   sim::SimTime finished;  ///< absolute completion time
   sim::SimTime latency;   ///< finished - submitted (queueing + service)
   sim::SimTime service;   ///< device occupancy of the dispatch that served it
 };
 
-/// Common device interface.  submit() enqueues a request and returns a
-/// future that resolves when the device completes it.  Devices are owned by
-/// exactly one Simulator and are not thread-safe (the DES is single-threaded).
+/// Common device interface.  submit() enqueues a request; when the device
+/// completes it, the device fills `done` in place (see sim::Completion) —
+/// so `done` must stay put until then — or, for a request nobody waits for
+/// (`done` null), only charges its time.  Devices are owned by exactly one
+/// Simulator and are not thread-safe (the DES is single-threaded).
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
 
-  virtual sim::SimFuture<BlockCompletion> submit(BlockRequest req) = 0;
+  virtual void submit(BlockRequest req,
+                      sim::Completion<BlockCompletion>* done = nullptr) = 0;
 
   /// True while a dispatch is in flight or requests are queued.
   virtual bool busy() const = 0;

@@ -27,7 +27,12 @@ void CfqScheduler::rr_push(int tag) {
     rr_.erase(rr_.begin(), rr_.begin() + static_cast<std::ptrdiff_t>(rr_head_));
     rr_head_ = 0;
   }
-  rr_.push_back(tag);
+  if (rr_head_ < rr_.size() && rr_.back().tag == tag &&
+      rr_.back().count < std::numeric_limits<std::uint32_t>::max()) {
+    ++rr_.back().count;
+  } else {
+    rr_.push_back({tag, 1});
+  }
 }
 
 void CfqScheduler::add(PendingRequest p) {
@@ -126,13 +131,16 @@ void CfqScheduler::pop_next(std::int64_t head_lbn, DispatchBatch& batch) {
     }
     active_ = -1;
     while (rr_head_ < rr_.size()) {
-      const int tag = rr_[rr_head_++];
-      auto it = queues_.find(tag);
-      if (it != queues_.end() && !it->second.empty()) {
-        active_ = tag;
-        budget_ = quantum_;
-        break;
+      Turns& turns = rr_[rr_head_];
+      auto it = queues_.find(turns.tag);
+      if (it == queues_.end() || it->second.empty()) {
+        ++rr_head_;  // every turn of the run is stale
+        continue;
       }
+      active_ = turns.tag;
+      budget_ = quantum_;
+      if (--turns.count == 0) ++rr_head_;
+      break;
     }
     if (active_ < 0) return;  // rr_ was stale; size_ said otherwise
   }
@@ -174,7 +182,7 @@ std::optional<PeekInfo> CfqScheduler::peek(std::int64_t head_lbn) const {
     }
   }
   for (std::size_t i = rr_head_; i < rr_.size(); ++i) {
-    const int tag = rr_[i];
+    const int tag = rr_[i].tag;
     auto it = queues_.find(tag);
     if (it != queues_.end() && !it->second.empty()) {
       const PendingRequest* r = pick(it->second, head_lbn);

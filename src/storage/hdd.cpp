@@ -60,25 +60,23 @@ sim::SimTime HddModel::service_time(IoDirection dir, std::int64_t lbn,
          sim::SimTime::from_seconds(params_.overhead_us / 1e6);
 }
 
-sim::SimFuture<BlockCompletion> HddModel::submit(BlockRequest req) {
+void HddModel::submit(BlockRequest req,
+                      sim::Completion<BlockCompletion>* done) {
   assert(req.sectors > 0);
   assert(req.lbn >= 0 && req.end() <= capacity_sectors());
-  PendingRequest p{req, sim_.now(), sim::SimPromise<BlockCompletion>(sim_)};
-  auto fut = p.promise.get_future();
   // CFQ-style anticipation: the disk idles after a dispatch waiting for the
   // same stream's next synchronous request; that arrival (or a near-head
   // one) ends the idling immediately.
   const bool wanted =
       req.tag == last_tag_ ||
       std::llabs(req.lbn - head_) <= params_.near_sectors;
-  sched_->add(std::move(p));
+  sched_->add({req, sim_.now(), done});
   if (state_ == State::kAnticipating && wanted) {
     ++antic_epoch_;  // invalidate the pending timer
     dispatch();
   } else {
     maybe_start();
   }
-  return fut;
 }
 
 void HddModel::maybe_start() {
@@ -149,8 +147,10 @@ void HddModel::complete(sim::SimTime service) {
   head_ = inflight_.end();
   last_completion_ = sim_.now();
   const sim::SimTime now = sim_.now();
-  for (auto& p : inflight_.members) {
-    p.promise.set_value(BlockCompletion{now, now - p.submitted, service});
+  for (const PendingRequest& p : inflight_.members) {
+    if (p.done != nullptr) {
+      p.done->complete(sim_, {now, now - p.submitted, service});
+    }
   }
   inflight_.reset();
   state_ = State::kIdle;

@@ -108,7 +108,8 @@ class HddModel final : public BlockDevice {
   /// Convenience: CFQ scheduler (the paper's data-server configuration).
   HddModel(sim::Simulator& sim, HddParams params);
 
-  sim::SimFuture<BlockCompletion> submit(BlockRequest req) override;
+  void submit(BlockRequest req,
+              sim::Completion<BlockCompletion>* done = nullptr) override;
 
   bool busy() const override { return state_ != State::kIdle; }
   std::size_t queue_depth() const override { return sched_->depth(); }

@@ -58,6 +58,13 @@ struct ProfileResult {
   double write_large_ms = 0.0;  // discontinuous large-write surcharge
 };
 
+/// Submit one probe and wait until the device completes it.
+sim::Task<> probe(BlockDevice& dev, BlockRequest req) {
+  sim::Completion<BlockCompletion> done;
+  dev.submit(req, &done);
+  co_await done;
+}
+
 sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
                        ProfileResult& out, bool& done) {
   const std::int64_t cap = dev.capacity_sectors();
@@ -68,8 +75,8 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
     const std::int64_t chunk = 2048;  // 1 MB per request, back to back
     const sim::SimTime t0 = sim.now();
     for (std::int64_t pos = 0; pos < total; pos += chunk) {
-      co_await dev.submit(
-          {IoDirection::kRead, pos, std::min(chunk, total - pos), 0});
+      co_await probe(
+          dev, {IoDirection::kRead, pos, std::min(chunk, total - pos), 0});
     }
     out.stream_ms = (sim.now() - t0).to_millis();
   }
@@ -87,7 +94,7 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
     for (int p = 0; p < kProbesPerDistance; ++p) {
       const std::int64_t lbn = (p % 2 == 0) ? base : base + d;
       const sim::SimTime t0 = sim.now();
-      co_await dev.submit({IoDirection::kRead, lbn, kProbeSectors, 0});
+      co_await probe(dev, {IoDirection::kRead, lbn, kProbeSectors, 0});
       total_ms += (sim.now() - t0).to_millis();
     }
     out.samples.push_back(
@@ -104,7 +111,7 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
       // Skip two sectors: breaks contiguity at a tiny distance.
       lbn += kProbeSectors + 2;
       const sim::SimTime t0 = sim.now();
-      co_await dev.submit({IoDirection::kRead, lbn, kProbeSectors, 0});
+      co_await probe(dev, {IoDirection::kRead, lbn, kProbeSectors, 0});
       total_ms += (sim.now() - t0).to_millis();
     }
     out.near_ms = total_ms / reps;
@@ -116,8 +123,8 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
     const std::int64_t chunk = 2048;
     const sim::SimTime t0 = sim.now();
     for (std::int64_t pos = 0; pos < total; pos += chunk) {
-      co_await dev.submit(
-          {IoDirection::kWrite, pos, std::min(chunk, total - pos), 0});
+      co_await probe(
+          dev, {IoDirection::kWrite, pos, std::min(chunk, total - pos), 0});
     }
     out.stream_write_ms = (sim.now() - t0).to_millis();
   }
@@ -133,13 +140,13 @@ sim::Task<> run_probes(sim::Simulator& sim, BlockDevice& dev,
       // Unmeasured warm-up probe: park the head at base+d so every timed
       // probe hops exactly distance d (the first hop would otherwise carry
       // whatever distance the previous experiment left behind).
-      co_await dev.submit({IoDirection::kRead, base + d, sectors, 0});
+      co_await probe(dev, {IoDirection::kRead, base + d, sectors, 0});
       double total_ms = 0.0;
       const int reps = 6;
       for (int p = 0; p < reps; ++p) {
         const std::int64_t lbn = (p % 2 == 0) ? base : base + d;
         const sim::SimTime t0 = sim.now();
-        co_await dev.submit({dir, lbn, sectors, 0});
+        co_await probe(dev, {dir, lbn, sectors, 0});
         total_ms += (sim.now() - t0).to_millis();
       }
       co_return total_ms / reps;

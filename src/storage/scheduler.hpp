@@ -21,11 +21,12 @@
 
 namespace ibridge::storage {
 
-/// A queued request together with its completion promise.
+/// A queued request together with its submitter's completion record (null
+/// when nobody waits for it).
 struct PendingRequest {
   BlockRequest req;
   sim::SimTime submitted;
-  sim::SimPromise<BlockCompletion> promise;
+  sim::Completion<BlockCompletion>* done = nullptr;
 };
 
 /// A batch of pending requests merged into one contiguous device operation.
@@ -201,9 +202,19 @@ class CfqScheduler final : public IoScheduler {
   // Declared before the maps: the pool must outlive every node they hold.
   sim::ChunkPool pool_;
   std::map<int, StreamQueue, std::less<int>, TagAlloc> queues_{TagAlloc(pool_)};
-  // Round-robin order of streams with pending work, as a vector with an
-  // advancing head (same allocation-free FIFO idiom as NoopScheduler).
-  std::vector<int> rr_;
+  // Round-robin turns: one per idle-to-pending transition of a stream (and
+  // per quantum a still-pending stream uses up), consumed in FIFO order;
+  // a turn whose stream is empty when reached is skipped.  Consecutive
+  // turns of one stream are stored as one run, so a single stream that
+  // keeps draining and refilling while it is active — a write-back stream
+  // of read-modify-writes — adds to a count instead of growing the ring by
+  // one entry per request.  A vector with an advancing head (same
+  // allocation-free FIFO idiom as NoopScheduler).
+  struct Turns {
+    int tag;
+    std::uint32_t count;
+  };
+  std::vector<Turns> rr_;
   std::size_t rr_head_ = 0;
   int active_ = -1;
   int budget_ = 0;

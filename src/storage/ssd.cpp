@@ -31,14 +31,12 @@ sim::SimTime SsdModel::service_time(IoDirection dir, std::int64_t lbn,
   return sim::SimTime::from_seconds(overhead_us / 1e6 + xfer_s);
 }
 
-sim::SimFuture<BlockCompletion> SsdModel::submit(BlockRequest req) {
+void SsdModel::submit(BlockRequest req,
+                      sim::Completion<BlockCompletion>* done) {
   assert(req.sectors > 0);
   assert(req.lbn >= 0 && req.end() <= capacity_sectors());
-  PendingRequest p{req, sim_.now(), sim::SimPromise<BlockCompletion>(sim_)};
-  auto fut = p.promise.get_future();
-  sched_->add(std::move(p));
+  sched_->add({req, sim_.now(), done});
   maybe_start();
-  return fut;
 }
 
 void SsdModel::maybe_start() {
@@ -79,8 +77,10 @@ void SsdModel::maybe_start() {
 void SsdModel::complete(int slot, sim::SimTime service) {
   DispatchBatch& batch = slots_[static_cast<std::size_t>(slot)];
   const sim::SimTime now = sim_.now();
-  for (auto& p : batch.members) {
-    p.promise.set_value(BlockCompletion{now, now - p.submitted, service});
+  for (const PendingRequest& p : batch.members) {
+    if (p.done != nullptr) {
+      p.done->complete(sim_, {now, now - p.submitted, service});
+    }
   }
   batch.reset();
   free_slots_.push_back(slot);

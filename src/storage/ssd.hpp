@@ -72,7 +72,8 @@ class SsdModel final : public BlockDevice {
   /// Convenience: Noop (FIFO + merge) scheduler, as in the paper's setup.
   SsdModel(sim::Simulator& sim, SsdParams params);
 
-  sim::SimFuture<BlockCompletion> submit(BlockRequest req) override;
+  void submit(BlockRequest req,
+              sim::Completion<BlockCompletion>* done = nullptr) override;
 
   /// Install a fault hook (nullptr to detach).  Same zero-cost-when-null
   /// contract as the observer/trace hooks elsewhere in the simulator.

@@ -193,17 +193,19 @@ sim::Task<> flush(core::IBridgeCache& cache, Bytes budget, bool& done) {
   done = true;
 }
 
-TEST(AllocZones, WritebackFlushIsAllocationFree) {
-  constexpr int kRecords = 300;
+/// Writes `records` 800 B records scattered over `rows` stripe rows, each
+/// inside one stripe unit of server 0, then flushes them with `budget`;
+/// three rounds.  Expects the last (warm) round's flush to write every
+/// record back without a single allocation.
+void expect_allocation_free_flush(int records, int rows, Bytes budget) {
   constexpr std::int64_t kRecord = 800;
   const cluster::ClusterConfig cfg = cluster::ClusterConfig::with_ibridge();
   const std::int64_t row = cfg.data_servers * cfg.stripe_unit;
   cluster::Cluster c(cfg);
-  const pvfs::FileHandle fh = c.create_file("f", 8192 * row);
-  // Scattered records, each inside one stripe unit of server 0.
+  const pvfs::FileHandle fh = c.create_file("f", rows * row);
   std::vector<std::int64_t> offsets;
-  for (int i = 0; i < kRecords; ++i) {
-    offsets.push_back((i * 977) % 8192 * row + 1000);
+  for (int i = 0; i < records; ++i) {
+    offsets.push_back((i * 977) % rows * row + 1000);
   }
   core::IBridgeCache& cache = *c.server(0).cache();
   cache.stop();  // the flush under test is the only write-back
@@ -219,7 +221,7 @@ TEST(AllocZones, WritebackFlushIsAllocationFree) {
 
     const std::uint64_t wb0 = cache.stats().writebacks;
     bool done = false;
-    auto f = flush(cache, Bytes{256 << 10}, done);
+    auto f = flush(cache, budget, done);
     const std::uint64_t a0 = bench::alloc_count();
     f.start();
     c.sim().run_while_pending([&] { return done; });
@@ -227,8 +229,16 @@ TEST(AllocZones, WritebackFlushIsAllocationFree) {
     flushed = cache.stats().writebacks - wb0;
     ASSERT_TRUE(done);
   }
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(flushed, static_cast<std::uint64_t>(kRecords));
+  EXPECT_EQ(allocs, 0u) << records << " records";
+  EXPECT_EQ(flushed, static_cast<std::uint64_t>(records));
+}
+
+TEST(AllocZones, WritebackFlushIsAllocationFree) {
+  // A daemon-sized flush: 300 entries within its 256 KiB budget.
+  expect_allocation_free_flush(300, 8192, Bytes{256 << 10});
+  // A drain-sized flush, whose one batch stages more reads at once than the
+  // frame pool keeps idle chunks of one size class (1 MiB / 128 B = 8,192).
+  expect_allocation_free_flush(10'000, 16384, Bytes{8 << 20});
 }
 
 }  // namespace

@@ -234,6 +234,16 @@ TEST(Cluster, ShardsSelectsCoreAndRejectsOtherValues) {
   EXPECT_NE(Cluster(cc).shard_group(), nullptr);
 }
 
+// An iBridge cache whose log the SSD cannot hold is refused in every build
+// type, not only by an assert.
+TEST(Cluster, CacheLogLargerThanSsdThrows) {
+  core::IBridgeConfig ib;
+  ib.ssd_cache_bytes = 200LL * 1000 * 1000 * 1000;  // the SSD holds 120 GB
+  const auto cc = ClusterConfig::with_ibridge(ib);
+  ASSERT_LT(cc.server.ssd.capacity_bytes, ib.ssd_cache_bytes);
+  EXPECT_THROW(Cluster{cc}, std::invalid_argument);
+}
+
 // A TraceSession stamps spans with one clock, so tracing a sharded cluster
 // is refused in every build type; detaching stays allowed.
 TEST(Cluster, TracingShardedClusterThrows) {

@@ -16,8 +16,7 @@ namespace {
 
 PendingRequest make(sim::Simulator& sim, IoDirection dir, std::int64_t lbn,
                     std::int64_t sectors, int tag = 0) {
-  return PendingRequest{BlockRequest{dir, lbn, sectors, tag}, sim.now(),
-                        sim::SimPromise<BlockCompletion>(sim)};
+  return PendingRequest{BlockRequest{dir, lbn, sectors, tag}, sim.now()};
 }
 
 // ----------------------------------------------------------------- Noop ----
@@ -311,6 +310,33 @@ TEST(CfqScheduler, LastTagTracksDispatches) {
   s.add(make(sim, IoDirection::kRead, 100, 8, 11));
   (void)s.pop_next(0);
   EXPECT_EQ(s.last_tag(), 11);
+}
+
+// Every idle-to-pending transition of a stream queues one round-robin turn,
+// also while that stream is the active one, and each turn reached while the
+// stream has work starts a fresh quantum.  So stream 1, which drains and
+// refills after each dispatch, still holds turns queued ahead of stream 2's
+// when its quantum ends, and dispatches 400 before stream 2 gets the disk.
+TEST(CfqScheduler, RefilledActiveStreamKeepsItsQueuedTurns) {
+  sim::Simulator sim;
+  CfqScheduler s(/*quantum=*/2);
+  std::vector<std::int64_t> order;
+  const auto pop = [&] { order.push_back(s.pop_next(0).lbn); };
+  s.add(make(sim, IoDirection::kRead, 0, 8, 1));
+  pop();
+  s.add(make(sim, IoDirection::kRead, 100, 8, 1));
+  pop();
+  s.add(make(sim, IoDirection::kRead, 200, 8, 1));
+  s.add(make(sim, IoDirection::kRead, 1'000'000, 8, 2));
+  pop();
+  s.add(make(sim, IoDirection::kRead, 300, 8, 1));
+  pop();
+  s.add(make(sim, IoDirection::kRead, 400, 8, 1));
+  pop();
+  pop();
+  EXPECT_EQ(order,
+            (std::vector<std::int64_t>{0, 100, 200, 300, 400, 1'000'000}));
+  EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

@@ -233,40 +233,43 @@ TEST(Delay, ZeroDelayDoesNotSuspend) {
   EXPECT_EQ(when, SimTime::zero());  // completed synchronously
 }
 
-// ------------------------------------------------------------ SimFuture ----
+// ----------------------------------------------------------- Completion ----
 
-Task<> consume(SimFuture<int> f, int& out) { out = co_await f; }
+Task<> consume(Completion<int>& c, int& out) { out = co_await c; }
 
-TEST(SimFuture, AwaitBeforeFulfill) {
+TEST(Completion, AwaitBeforeComplete) {
   Simulator sim;
-  SimPromise<int> p(sim);
+  Completion<int> c;
   int out = 0;
-  auto t = consume(p.get_future(), out);
+  auto t = consume(c, out);
   t.start();
   EXPECT_EQ(out, 0);
-  sim.schedule(SimTime::millis(2), [&] { p.set_value(7); });
+  sim.schedule(SimTime::millis(2), [&] { c.complete(sim, 7); });
   sim.run();
   EXPECT_EQ(out, 7);
+  // complete() deferred the resume: the timer event, then the wake-up.
+  EXPECT_EQ(sim.events_executed(), 2u);
 }
 
-TEST(SimFuture, AwaitAfterFulfillIsImmediate) {
+TEST(Completion, AwaitAfterCompleteIsImmediate) {
   Simulator sim;
-  SimPromise<int> p(sim);
-  p.set_value(9);
+  Completion<int> c;
+  c.complete(sim, 9);
   int out = 0;
-  auto t = consume(p.get_future(), out);
+  auto t = consume(c, out);
   t.start();
-  EXPECT_EQ(out, 9);  // ready future: no suspension
+  EXPECT_EQ(out, 9);  // complete record: no suspension
+  EXPECT_EQ(sim.pending(), 0u);  // and, with no consumer, nothing deferred
 }
 
-TEST(SimFuture, GetAfterRun) {
+TEST(Completion, GetAfterRun) {
   Simulator sim;
-  SimPromise<int> p(sim);
-  auto f = p.get_future();
-  EXPECT_FALSE(f.ready());
-  p.set_value(3);
-  EXPECT_TRUE(f.ready());
-  EXPECT_EQ(f.get(), 3);
+  Completion<int> c;
+  EXPECT_FALSE(c.ready());
+  sim.schedule(SimTime::millis(1), [&] { c.complete(sim, 3); });
+  sim.run();
+  EXPECT_TRUE(c.ready());
+  EXPECT_EQ(c.get(), 3);
 }
 
 // ----------------------------------------------------------- SyncBarrier ----
@@ -394,23 +397,23 @@ TEST(JoinSet, EmptyJoinIsImmediate) {
   EXPECT_TRUE(joined);
 }
 
-// A fork/join over promises fulfilled at scrambled times, three per tick,
+// A fork/join over records completed at scrambled times, three per tick,
 // amid labelled bystander events: on each tick some are scheduled before
-// the fulfils, some after, and each fulfil defers one more.  Child i joins
-// as a task awaiting its future when as_task(i), as the bare future
+// the completions, some after, and each completion defers one more.  Child
+// i joins as a task awaiting its record when as_task(i), as the bare record
 // otherwise.  Returns the label log (the joiner's resume included) and the
 // number of events executed.
-Task<> await_future(SimFuture<int> f) { co_await f; }
+Task<> await_record(Completion<int>& c) { co_await c; }
 
 template <typename AsTask>
-Task<> join_promises(Simulator& sim, std::vector<SimPromise<int>>& ps,
-                     AsTask as_task, std::vector<std::string>& log) {
+Task<> join_records(Simulator& sim, std::vector<Completion<int>>& rs,
+                    AsTask as_task, std::vector<std::string>& log) {
   JoinSet js(sim);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
+  for (std::size_t i = 0; i < rs.size(); ++i) {
     if (as_task(i)) {
-      js.add(await_future(ps[i].get_future()));
+      js.add(await_record(rs[i]));
     } else {
-      js.add(ps[i].get_future());
+      js.add(rs[i]);
     }
   }
   co_await js.join();
@@ -428,40 +431,39 @@ std::pair<std::vector<std::string>, std::uint64_t> run_join(AsTask as_task) {
       log.push_back(name + "@" + std::to_string(sim.now().ns()));
     });
   };
-  std::vector<SimPromise<int>> ps;
-  for (int i = 0; i < kChildren; ++i) ps.emplace_back(sim);
+  std::vector<Completion<int>> rs(kChildren);
   for (int t = 1; t <= kTicks; ++t) {
     sim.schedule_at(SimTime::millis(t), label("before" + std::to_string(t)));
   }
   for (int i = 0; i < kChildren; ++i) {
     sim.schedule_at(SimTime::millis(1 + (i * 7) % kTicks), [&, i] {
-      ps[static_cast<std::size_t>(i)].set_value(i);
+      rs[static_cast<std::size_t>(i)].complete(sim, i);
       sim.defer(label("defer" + std::to_string(i)));
     });
   }
   for (int t = 1; t <= kTicks; ++t) {
     sim.schedule_at(SimTime::millis(t), label("after" + std::to_string(t)));
   }
-  auto joiner = join_promises(sim, ps, as_task, log);
+  auto joiner = join_records(sim, rs, as_task, log);
   joiner.start();
   sim.run();
   return {log, sim.events_executed()};
 }
 
-TEST(JoinSet, JoinedFuturesKeepTheTaskChildSchedule) {
+TEST(JoinSet, JoinedRecordsKeepTheTaskChildSchedule) {
   const auto tasks = run_join([](std::size_t) { return true; });
-  const auto futures = run_join([](std::size_t) { return false; });
-  EXPECT_EQ(futures.first, tasks.first);
-  EXPECT_EQ(futures.second, tasks.second);
+  const auto records = run_join([](std::size_t) { return false; });
+  EXPECT_EQ(records.first, tasks.first);
+  EXPECT_EQ(records.second, tasks.second);
   // The joiner resumes one deferral after the last arrival, which itself
-  // lands one deferral after the last fulfil (children 1, 5 and 9 share
-  // tick 4, and 9 is fulfilled last).
+  // lands one deferral after the last completion (children 1, 5 and 9 share
+  // tick 4, and 9 completes last).
   ASSERT_GE(tasks.first.size(), 2u);
   EXPECT_EQ(tasks.first.back(), "joined@4000000");
   EXPECT_EQ(tasks.first[tasks.first.size() - 2], "defer9@4000000");
 }
 
-TEST(JoinSet, MixedTaskAndFutureChildrenKeepTheSchedule) {
+TEST(JoinSet, MixedTaskAndRecordChildrenKeepTheSchedule) {
   const auto tasks = run_join([](std::size_t) { return true; });
   const auto mixed = run_join([](std::size_t i) { return i % 2 == 0; });
   EXPECT_EQ(mixed.first, tasks.first);

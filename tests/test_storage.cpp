@@ -25,21 +25,16 @@ HddParams quiet_hdd() {
   return p;
 }
 
-// Drive a list of requests through a device, recording completion times.
+// Drive a list of requests through a device; nothing waits on them.
 struct Harness {
   Simulator sim;
-  std::vector<SimTime> completions;
 
   template <typename Dev>
   void run(Dev& dev, const std::vector<BlockRequest>& reqs,
            SimTime spacing = SimTime::zero()) {
-    std::vector<sim::SimFuture<BlockCompletion>> futs;
     SimTime at = SimTime::zero();
     for (const auto& r : reqs) {
-      sim.schedule_at(at, [&dev, r, this] {
-        auto f = dev.submit(r);
-        (void)f;
-      });
+      sim.schedule_at(at, [&dev, r] { dev.submit(r); });
       at += spacing;
     }
     sim.run();
@@ -120,12 +115,12 @@ TEST(HddModel, IdleResyncChargedAfterGap) {
 TEST(HddModel, CompletionCarriesLatencyAndService) {
   Simulator sim;
   HddModel d(sim, quiet_hdd());
-  sim::SimFuture<BlockCompletion> fut;
+  sim::Completion<BlockCompletion> done;
   sim.schedule(SimTime::zero(),
-               [&] { fut = d.submit({IoDirection::kRead, 1000, 8, 0}); });
+               [&] { d.submit({IoDirection::kRead, 1000, 8, 0}, &done); });
   sim.run();
-  ASSERT_TRUE(fut.ready());
-  const auto& c = fut.get();
+  ASSERT_TRUE(done.ready());
+  const auto& c = done.get();
   EXPECT_EQ(c.finished, c.latency);  // submitted at t=0
   EXPECT_GT(c.service, SimTime::zero());
   EXPECT_EQ(d.head_lbn(), 1008);
@@ -150,14 +145,14 @@ TEST(HddModel, TraceRecordsDispatches) {
 
 TEST(HddModel, BackToBackContiguousRequestsMerge) {
   // Two contiguous requests submitted at the same tick dispatch as one
-  // batch: one trace entry, both futures complete together.
+  // batch: one trace entry, both records complete together.
   Simulator sim;
   HddModel d(sim, quiet_hdd());
   d.trace().set_enabled(true);
-  sim::SimFuture<BlockCompletion> f1, f2;
+  sim::Completion<BlockCompletion> f1, f2;
   sim.schedule(SimTime::zero(), [&] {
-    f1 = d.submit({IoDirection::kRead, 5000, 128, 0});
-    f2 = d.submit({IoDirection::kRead, 5128, 128, 1});
+    d.submit({IoDirection::kRead, 5000, 128, 0}, &f1);
+    d.submit({IoDirection::kRead, 5128, 128, 1}, &f2);
   });
   sim.run();
   EXPECT_EQ(d.trace().requests(), 1u);
@@ -178,15 +173,15 @@ TEST(HddModel, AnticipationWaitsForSameStream) {
   };
   (void)track;
 
-  sim::SimFuture<BlockCompletion> a, b, c;
+  sim::Completion<BlockCompletion> a, b, c;
   sim.schedule(SimTime::zero(),
-               [&] { a = d.submit({IoDirection::kRead, 0, 64, 7}); });
+               [&] { d.submit({IoDirection::kRead, 0, 64, 7}, &a); });
   // While idle-waiting after A, a far competitor arrives...
   sim.schedule(SimTime::micros(200),
-               [&] { b = d.submit({IoDirection::kRead, 2'000'000, 64, 8}); });
+               [&] { d.submit({IoDirection::kRead, 2'000'000, 64, 8}, &b); });
   // ...and then stream 7's continuation.
   sim.schedule(SimTime::micros(400),
-               [&] { c = d.submit({IoDirection::kRead, 200, 64, 7}); });
+               [&] { d.submit({IoDirection::kRead, 200, 64, 7}, &c); });
   sim.run();
   ASSERT_TRUE(a.ready() && b.ready() && c.ready());
   EXPECT_LT(c.get().finished, b.get().finished)
@@ -198,11 +193,11 @@ TEST(HddModel, AnticipationTimerExpiresAndServesOther) {
   HddParams p = quiet_hdd();
   p.anticipation_ms = 1.0;
   HddModel d(sim, p);
-  sim::SimFuture<BlockCompletion> a, b;
+  sim::Completion<BlockCompletion> a, b;
   sim.schedule(SimTime::zero(),
-               [&] { a = d.submit({IoDirection::kRead, 0, 64, 1}); });
+               [&] { d.submit({IoDirection::kRead, 0, 64, 1}, &a); });
   sim.schedule(SimTime::micros(100),
-               [&] { b = d.submit({IoDirection::kRead, 2'000'000, 64, 2}); });
+               [&] { d.submit({IoDirection::kRead, 2'000'000, 64, 2}, &b); });
   sim.run();
   ASSERT_TRUE(b.ready());
   // b waited for a's service plus the full anticipation window.
